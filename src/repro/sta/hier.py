@@ -85,6 +85,7 @@ from repro.sta.scheduler import (
     SignoffScheduler,
     TracedResult,
     design_fingerprint,
+    fingerprint_pass,
     scenario_fingerprint,
 )
 
@@ -545,7 +546,7 @@ class HierScheduler:
         self.extraction_runs = 0
 
     def signoff(self) -> HierSignoffOutcome:
-        with obs_tracing.span(
+        with fingerprint_pass(), obs_tracing.span(
             "hier_signoff", design=self.hier.name,
             blocks=len(self.hier.blocks), scenarios=len(self.scenarios),
             jobs=self.jobs, executor=self.executor,
@@ -561,8 +562,11 @@ class HierScheduler:
         The key is (block design name, design fingerprint, block-level
         scenario fingerprint) — the same triple the ETM cache uses — with
         the block-scenario *name* pinned to "etm" so two top scenarios
-        differing only in name share one extraction.
+        differing only in name share one extraction. Each block design
+        is hashed once, not once per scenario.
         """
+        design_fps = {name: design_fingerprint(block.design)
+                      for name, block in self.hier.blocks.items()}
         plan: Dict[tuple, dict] = {}
         for s in self.scenarios:
             for name, block in self.hier.blocks.items():
@@ -574,8 +578,7 @@ class HierScheduler:
                     beol_corner_name=s.beol_corner_name,
                     temp_c=s.temp_c, derates=s.derates,
                 )
-                key = (block.design.name,
-                       design_fingerprint(block.design),
+                key = (block.design.name, design_fps[name],
                        scenario_fingerprint(bscen))
                 entry = plan.setdefault(
                     key, {"block": name, "scenario": bscen,
@@ -592,7 +595,9 @@ class HierScheduler:
         worker_pids: Set[int] = set()
         degraded_scenarios: Set[str] = set()
 
-        plan = self._plan()
+        with obs_tracing.span("etm_plan", blocks=len(self.hier.blocks),
+                              scenarios=len(self.scenarios)):
+            plan = self._plan()
         cache_hits = 0
         todo_keys = []
         for key, entry in plan.items():

@@ -30,9 +30,11 @@ import copy
 import dataclasses
 import enum
 import hashlib
+import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -40,6 +42,7 @@ import numpy as np
 
 from repro.beol.stack import BeolStack, default_stack
 from repro.errors import SignoffError, TimingError
+from repro.liberty.tables import LookupTable2D
 from repro.netlist.design import Design
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing as obs_tracing
@@ -70,9 +73,10 @@ EXECUTORS = ("serial", "thread", "process")
 def _feed(h, obj) -> None:
     """Feed one object into a hash, stably across processes and runs.
 
-    Handles the value types that appear in designs, constraints and
-    scenario parameters; dict iteration order is normalized by sorting,
-    floats by fixed-precision formatting.
+    Handles the value types that appear in designs, constraints,
+    libraries and scenario parameters; dict iteration order is
+    normalized by sorting, floats by fixed-precision formatting, and
+    lookup tables are hashed by their full index and value arrays.
     """
     if obj is None:
         h.update(b"~")
@@ -87,6 +91,10 @@ def _feed(h, obj) -> None:
     elif isinstance(obj, np.ndarray):
         h.update(str(obj.shape).encode())
         h.update(np.ascontiguousarray(obj).tobytes())
+    elif isinstance(obj, LookupTable2D):
+        h.update(b"LUT")
+        for array in (obj.index_1, obj.index_2, obj.values):
+            _feed(h, array)
     elif isinstance(obj, (list, tuple)):
         h.update(b"[")
         for item in obj:
@@ -143,20 +151,56 @@ def constraints_fingerprint(constraints: Constraints) -> str:
     return _digest(constraints)
 
 
-def library_fingerprint(library) -> str:
-    """Content hash of a library: condition metadata plus cell tables.
+def _cell_digest(cell) -> str:
+    """Content hash of one library cell: pins, arcs, every table entry."""
+    return _digest(cell)
 
-    Every cell is hashed in full (pins, arcs, lookup tables), not just
-    counted, so a library mutated in place — cells added, removed or
-    re-characterized — changes the fingerprint and misses the cache. No
-    assumption about where the library came from is needed.
+
+#: The cell-digest memo of the fingerprint pass open on each thread.
+_pass_scope = threading.local()
+
+
+@contextmanager
+def fingerprint_pass():
+    """Scope of one signoff pass: each library cell is hashed once.
+
+    Yields a :class:`FingerprintMemo` of cell digests keyed by object
+    identity; each entry holds its cell as the token, so an id cannot be
+    reused while the scope lives. A scope opened inside another on the
+    same thread (the hierarchical top-level stub signoff) reuses the
+    outer memo. The memo is dropped when the outermost scope exits, so
+    a cell edited between passes is hashed afresh; each thread has its
+    own scope, so concurrent passes never share one.
     """
-    h = hashlib.sha256()
-    _feed(h, (library.name, library.process, library.vdd, library.temp_c,
-              library.default_max_transition))
-    for name in sorted(library.cells):
-        _feed(h, library.cells[name])
-    return h.hexdigest()
+    outer = getattr(_pass_scope, "memo", None)
+    memo = FingerprintMemo() if outer is None else outer
+    _pass_scope.memo = memo
+    try:
+        yield memo
+    finally:
+        _pass_scope.memo = outer
+
+
+def library_fingerprint(library) -> str:
+    """Content hash of a library: condition metadata plus one digest
+    per cell.
+
+    Each cell digest covers the cell in full (pins, arcs, every lookup
+    table entry), so a library mutated in place — cells added, removed
+    or re-characterized — changes the fingerprint and misses the cache.
+    Inside one :func:`fingerprint_pass` a cell object reached several
+    times (one library behind every block's extraction view, corner
+    cells copied into stub libraries) is hashed once; a call outside
+    any pass hashes every cell afresh.
+    """
+    with fingerprint_pass() as memo:
+        cells = [
+            (name, memo.get(id(cell), cell,
+                            lambda cell=cell: _cell_digest(cell)))
+            for name, cell in sorted(library.cells.items())
+        ]
+    return _digest(library.name, library.process, library.vdd,
+                   library.temp_c, library.default_max_transition, cells)
 
 
 def scenario_fingerprint(scenario) -> str:
@@ -178,18 +222,21 @@ def scenario_fingerprint(scenario) -> str:
 class FingerprintMemo:
     """Token-validated memo for content fingerprints.
 
-    The daemon memoizes scenario fingerprints (libraries are bound once
-    for its lifetime) and session overlays memoize their design
-    fingerprint (valid until the commit version moves). Both are the
-    same pattern — cache the digest next to a validity token, recompute
-    only when the token changes — so both share this helper instead of
-    carrying their own ``_fp``/``_fp_version`` field pairs.
+    Three users share one pattern — cache the digest next to a validity
+    token, recompute only when the token changes:
 
-    ``get`` compares tokens by equality, so a commit counter, a bind
-    timestamp or ``None`` (compute-once) all work. The scheduler's
-    per-run recomputation is deliberately *not* routed through a memo:
-    a library mutated in place must miss the result cache, which only
-    works if its fingerprint is re-hashed every run.
+    - the daemon memoizes scenario fingerprints (libraries are bound
+      once for its lifetime);
+    - session overlays memoize their design fingerprint (valid until
+      the commit version moves);
+    - a :func:`fingerprint_pass` memoizes cell digests for one signoff
+      pass, keyed by ``id(cell)`` with the cell itself as the token.
+
+    ``get`` compares tokens by identity, then equality, so a commit
+    counter, a bind timestamp, the keyed object or ``None``
+    (compute-once) all work. The scheduler never memoizes across
+    passes: a library mutated in place between passes must miss the
+    result cache, so each pass re-hashes its cells.
     """
 
     def __init__(self):
@@ -200,7 +247,7 @@ class FingerprintMemo:
     def get(self, key, token, compute) -> str:
         """The fingerprint for ``key``, recomputed iff ``token`` moved."""
         entry = self._entries.get(key)
-        if entry is not None and entry[0] == token:
+        if entry is not None and (entry[0] is token or entry[0] == token):
             self.hits += 1
             return entry[1]
         self.misses += 1
@@ -773,7 +820,7 @@ class SignoffScheduler:
 
     def signoff(self, design: Design) -> SignoffOutcome:
         """Run (or reuse) every scenario and merge the results."""
-        with obs_tracing.span(
+        with fingerprint_pass(), obs_tracing.span(
             "signoff", design=design.name, scenarios=len(self.scenarios),
             jobs=self.jobs, executor=self.executor,
         ) as signoff_span:
@@ -796,7 +843,6 @@ class SignoffScheduler:
         t0 = time.perf_counter()
         stats_before = (copy.copy(self.cache.stats)
                         if self.cache is not None else None)
-        design_fp = design_fingerprint(design)
         reports: Dict[str, TimingReport] = {}
         records: Dict[str, ScenarioRecord] = {}
         hits: List[str] = []
@@ -804,6 +850,7 @@ class SignoffScheduler:
         todo = []
         with obs_tracing.span("cache_triage",
                               scenarios=len(self.scenarios)):
+            design_fp = design_fingerprint(design)
             for scenario in self.scenarios:
                 fp = scenario_fingerprint(scenario)
                 key = (design.name, design_fp, fp)

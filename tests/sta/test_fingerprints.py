@@ -1,17 +1,37 @@
 """The shared fingerprint memo: token-validated caching of content
-digests, and its two production users (session overlays, the daemon's
-scenario fingerprints)."""
+digests, and its production users (session overlays, the daemon's
+scenario fingerprints, the per-pass cell-digest memo)."""
+
+import builtins
+import collections
+import os
+import subprocess
+import sys
+import threading
 
 import pytest
 
-from repro.liberty import make_library
-from repro.netlist.generators import random_logic
+import repro
+from repro.liberty import LibraryCondition, make_library
+from repro.netlist.generators import hierarchical_soc, random_logic
 from repro.serve.overlay import DesignOverlay, OverlayEdit
+from repro.sta import Constraints, scheduler
+from repro.sta.hier import HierScheduler
+from repro.sta.mcmm import standard_scenario_set
 from repro.sta.scheduler import (
     FingerprintMemo,
     design_fingerprint,
+    fingerprint_pass,
+    library_fingerprint,
     scenario_fingerprint,
 )
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+
+
+def corner_library(process, vdd, temp):
+    return make_library(
+        LibraryCondition(process=process, vdd=vdd, temp_c=temp))
 
 
 class TestFingerprintMemo:
@@ -123,3 +143,111 @@ class TestDaemonScenarioFingerprints:
             assert daemon._fingerprints.get(
                 s.name, None, lambda: pytest.fail("not warmed")) \
                 == scenario_fingerprint(s)
+
+
+class TestFingerprintPass:
+    """Each library cell is hashed at most once per signoff pass, and
+    never from a memo older than the pass."""
+
+    def test_hier_pass_hashes_each_cell_once(self, monkeypatch):
+        hier = hierarchical_soc(n_blocks=4, block_gates=30,
+                                with_feedthrough=False)
+        scenarios = standard_scenario_set(
+            hier.top_constraints(period=900.0), corner_library).scenarios
+        calls = collections.Counter()
+        digest = scheduler._cell_digest
+
+        def counting(cell):
+            calls[id(cell)] += 1
+            return digest(cell)
+
+        monkeypatch.setattr(scheduler, "_cell_digest", counting)
+        outcome = HierScheduler(hier, scenarios, jobs=1,
+                                executor="serial").signoff()
+        assert outcome.ok
+        cells = len(scenarios[0].library.cells)
+        assert len(scenarios) == 9 and len(hier.blocks) == 4
+        # Every corner cell once, plus one stub cell per (view, block).
+        assert sum(calls.values()) <= 9 * cells + 9 * 4
+        assert max(calls.values()) == 1
+
+    def test_cell_edited_between_passes_is_rehashed(self):
+        lib = make_library()
+        cell = lib.cells[sorted(lib.cells)[0]]
+        with fingerprint_pass() as outer:
+            before = library_fingerprint(lib)
+            with fingerprint_pass() as nested:
+                assert nested is outer
+            cell.leakage *= 2.0
+            # Inside the pass the cell's digest is memoized...
+            assert library_fingerprint(lib) == before
+        # ...and the memo ends with the pass.
+        assert library_fingerprint(lib) != before
+        with fingerprint_pass() as fresh:
+            assert fresh is not outer and len(fresh) == 0
+
+    def test_concurrent_passes_do_not_share_a_memo(self):
+        lib = make_library()
+        barrier = threading.Barrier(2)
+        memos = {}
+
+        def run(index):
+            with fingerprint_pass() as memo:
+                barrier.wait(timeout=30)
+                library_fingerprint(lib)
+                memos[index] = memo
+                barrier.wait(timeout=30)
+
+        threads = [threading.Thread(target=run, args=(i,))
+                   for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        assert memos[0] is not memos[1]
+        for memo in memos.values():
+            assert len(memo) == memo.misses == len(lib.cells)
+            assert memo.hits == 0
+
+    def test_scenario_fingerprint_is_stable_across_processes(self):
+        """Journal keys live on disk: a fresh interpreter (with its own
+        hash seed) must compute the same digests."""
+        code = (
+            "from repro.liberty import LibraryCondition, make_library\n"
+            "from repro.sta import Constraints\n"
+            "from repro.sta.mcmm import standard_scenario_set\n"
+            "from repro.sta.scheduler import scenario_fingerprint\n"
+            "def lib(p, v, t):\n"
+            "    return make_library(LibraryCondition(process=p, vdd=v,"
+            " temp_c=t))\n"
+            "for s in standard_scenario_set("
+            "Constraints.single_clock(520.0), lib).scenarios:\n"
+            "    print(scenario_fingerprint(s))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED="random")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True,
+                             timeout=120)
+        here = [scenario_fingerprint(s) for s in standard_scenario_set(
+            Constraints.single_clock(520.0), corner_library).scenarios]
+        assert out.stdout.split() == here
+
+    def test_scenarios_and_design_never_hash_by_repr(self, monkeypatch):
+        """Every value reaching the hasher has an explicit encoding;
+        repr() is only used for ints and strings."""
+        fallbacks = set()
+
+        def spy(obj):
+            if not isinstance(obj, (int, str)):
+                fallbacks.add(type(obj).__name__)
+            return builtins.repr(obj)
+
+        monkeypatch.setattr(scheduler, "repr", spy, raising=False)
+        hier = hierarchical_soc(n_blocks=2, block_gates=30)
+        scenarios = standard_scenario_set(
+            hier.top_constraints(period=900.0), corner_library).scenarios
+        for s in scenarios:
+            scenario_fingerprint(s)
+        design_fingerprint(hier.flatten())
+        assert fallbacks == set()

@@ -206,6 +206,11 @@ class TestProcessFanout:
                 if s.name == "sta_run" and s.parent_id in extract_ids]
         assert len(extracts) == outcome.etm_computed > 0
         assert len(runs) == len(extracts)
+        # Fingerprint hashing is booked to its own phase, not to the
+        # hier_signoff root's self time.
+        root = next(s for s in tracer.spans() if s.name == "hier_signoff")
+        plans = [s for s in tracer.spans() if s.name == "etm_plan"]
+        assert [s.parent_id for s in plans] == [root.span_id]
 
     def test_extraction_runs_one_sta_each(self, lib, monkeypatch):
         """Call-count proof of the extractor fix: N extractions plus one
@@ -246,6 +251,32 @@ class TestCachingAndDegradation:
         assert warm.extraction_runs == 0
         assert second.merged_wns("setup") == pytest.approx(
             first.merged_wns("setup"))
+
+    def test_interior_table_edit_misses_etm_cache(self):
+        """Re-characterizing the library in place — interior delay
+        entries move, every table's min and max stay — must re-extract
+        every block instead of serving stale ETMs."""
+        lib = make_library()
+        hier = hierarchical_soc(seed=1, n_blocks=2)
+        scen = Scenario(name="tt", library=lib,
+                        constraints=hier.top_constraints(period=900.0))
+        cache = ScenarioResultCache()
+        HierScheduler(hier, [scen], jobs=1, executor="serial",
+                      etm_cache=cache).signoff()
+        for cell in lib.cells.values():
+            for arc in cell.arcs:
+                for timing in arc.timing.values():
+                    values = timing.delay.values
+                    lo, hi = values.min(), values.max()
+                    values[1:-1, 1:-1] += 20.0
+                    assert (values.min(), values.max()) == (lo, hi)
+        warm = HierScheduler(hier, [scen], jobs=1, executor="serial",
+                             etm_cache=cache).signoff()
+        fresh = HierScheduler(hier, [scen], jobs=1,
+                              executor="serial").signoff()
+        assert warm.etm_computed == len(hier.blocks)
+        assert warm.etm_cache_hits == 0
+        assert warm.merged_wns("setup") == fresh.merged_wns("setup")
 
     def test_broken_block_quarantines_scenario(self, lib):
         bad = Design("bad")

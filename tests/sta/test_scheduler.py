@@ -295,6 +295,30 @@ class TestFingerprints:
         assert scheduler.evaluations == 2
         assert cache.stats.hits == 0
 
+    def test_interior_table_edit_misses_cache(self):
+        """A re-characterization that keeps every table's min and max
+        (the interior entries move, the corners do not) must still miss:
+        tables are hashed by value, not by a shape-and-range summary."""
+        lib = make_library()
+        c = Constraints.single_clock(520.0)
+        design = random_logic(n_inputs=16, n_outputs=16, n_gates=60,
+                              n_levels=6, seed=1)
+        cache = ScenarioResultCache()
+        scheduler = SignoffScheduler([Scenario("tt", lib, c)], cache=cache)
+        before = scheduler.signoff(design).result.merged_wns("setup")
+        for cell in lib.cells.values():
+            for arc in cell.arcs:
+                for timing in arc.timing.values():
+                    values = timing.delay.values
+                    lo, hi = values.min(), values.max()
+                    values[1:-1, 1:-1] += 20.0
+                    assert (values.min(), values.max()) == (lo, hi)
+        again = scheduler.signoff(design)
+        fresh = SignoffScheduler([Scenario("tt", lib, c)]).signoff(design)
+        assert again.cache_hits == []
+        assert again.result.merged_wns("setup") == \
+            fresh.result.merged_wns("setup") < before - 20.0
+
     def test_scenario_fingerprint_sees_corner_params(self, lib, lib_ss):
         c = Constraints.single_clock(500.0)
         typ = Scenario("s", lib, c)
