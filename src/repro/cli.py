@@ -1061,7 +1061,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # Flush here so a reader that left early (`| head -1`) surfaces
+        # below, not in the interpreter's flush at exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Nobody reads stdout any more: send what is still buffered to
+        # devnull so the flush at exit stays quiet, and report failure.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_FATAL
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         for issue in exc.issues:

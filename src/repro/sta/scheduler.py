@@ -29,6 +29,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import enum
+import functools
 import hashlib
 import threading
 import time
@@ -70,57 +71,180 @@ EXECUTORS = ("serial", "thread", "process")
 # content fingerprints
 
 
-def _feed(h, obj) -> None:
-    """Feed one object into a hash, stably across processes and runs.
+def _feed(out: List[bytes], obj) -> None:
+    """Append the encoding of one object to ``out``, stably across
+    processes and runs.
+
+    The encoding is a persisted format: run-journal and checkpoint
+    keys, ETM cache keys and campaign DB fingerprints are digests of
+    it, so any change to its bytes makes every stored entry miss. The
+    byte-identity and pinned-digest tests in
+    ``tests/sta/test_fingerprints.py`` guard it.
 
     Handles the value types that appear in designs, constraints,
     libraries and scenario parameters; dict iteration order is
     normalized by sorting, floats by fixed-precision formatting, and
-    lookup tables are hashed by their full index and value arrays.
+    lookup tables are hashed by their full index and value arrays. Each
+    value is encoded by the entry of ``_ENCODERS`` for its exact type,
+    which :func:`_encoder_for` picks the first time the type is seen.
     """
-    if obj is None:
-        h.update(b"~")
-    elif isinstance(obj, bool):
-        h.update(b"T" if obj else b"F")
-    elif isinstance(obj, (int, str, bytes)):
-        h.update(repr(obj).encode() if not isinstance(obj, bytes) else obj)
-    elif isinstance(obj, float):
-        h.update(f"{obj:.12g}".encode())
-    elif isinstance(obj, enum.Enum):
-        _feed(h, obj.value)
-    elif isinstance(obj, np.ndarray):
-        h.update(str(obj.shape).encode())
-        h.update(np.ascontiguousarray(obj).tobytes())
-    elif isinstance(obj, LookupTable2D):
-        h.update(b"LUT")
-        for array in (obj.index_1, obj.index_2, obj.values):
-            _feed(h, array)
-    elif isinstance(obj, (list, tuple)):
-        h.update(b"[")
-        for item in obj:
-            _feed(h, item)
-            h.update(b",")
-        h.update(b"]")
-    elif isinstance(obj, dict):
-        h.update(b"{")
-        for key in sorted(obj, key=str):
-            _feed(h, key)
-            h.update(b":")
-            _feed(h, obj[key])
-            h.update(b",")
-        h.update(b"}")
-    elif dataclasses.is_dataclass(obj):
-        h.update(type(obj).__name__.encode())
-        for f in dataclasses.fields(obj):
-            _feed(h, getattr(obj, f.name))
+    _ENCODERS[type(obj)](out, obj)
+
+
+def _encode_none(out, obj) -> None:
+    out.append(b"~")
+
+
+def _encode_bool(out, obj) -> None:
+    out.append(b"T" if obj else b"F")
+
+
+def _encode_bytes(out, obj) -> None:
+    out.append(obj)
+
+
+def _encode_repr(out, obj) -> None:
+    out.append(repr(obj).encode())
+
+
+def _encode_float(out, obj) -> None:
+    out.append(f"{obj:.12g}".encode())
+
+
+def _encode_enum(out, obj) -> None:
+    _feed(out, obj.value)
+
+
+def _encode_ndarray(out, obj) -> None:
+    # ndarray.tobytes writes C order for any layout: the same bytes as
+    # np.ascontiguousarray(obj).tobytes(), without the extra copy.
+    out.append(_shape_bytes(obj.shape))
+    out.append(np.ndarray.tobytes(obj))
+
+
+@functools.lru_cache(maxsize=256)
+def _shape_bytes(shape: Tuple[int, ...]) -> bytes:
+    # Cached: formatting a shape costs more than copying a small
+    # table's bytes, and a library repeats a handful of shapes.
+    return str(shape).encode()
+
+
+def _encode_sequence(out, obj) -> None:
+    encoders = _ENCODERS
+    out.append(b"[")
+    for item in obj:
+        encoders[type(item)](out, item)
+        out.append(b",")
+    out.append(b"]")
+
+
+def _encode_dict(out, obj) -> None:
+    encoders = _ENCODERS
+    out.append(b"{")
+    for key in sorted(obj, key=str):
+        encoders[type(key)](out, key)
+        out.append(b":")
+        value = obj[key]
+        encoders[type(value)](out, value)
+        out.append(b",")
+    out.append(b"}")
+
+
+def _fields_encoder(head: bytes, names: Tuple[str, ...]):
+    """Encoder writing ``head``, then each named attribute in order."""
+    def encode(out, obj) -> None:
+        encoders = _ENCODERS
+        out.append(head)
+        for name in names:
+            value = getattr(obj, name)
+            encoders[type(value)](out, value)
+    return encode
+
+
+def _field_names(obj) -> Tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(obj))
+
+
+def _encode_class(out, obj) -> None:
+    # A class passed as a value. Whether it is a dataclass depends on
+    # the class itself, not on its type (``type`` for nearly every
+    # class), so this rule is decided per value.
+    if dataclasses.is_dataclass(obj):
+        _fields_encoder(type(obj).__name__.encode(),
+                        _field_names(obj))(out, obj)
     else:
-        h.update(repr(obj).encode())
+        _encode_repr(out, obj)
+
+
+def _encoder_for(cls):
+    """The encoder for values of exact type ``cls``: the first rule
+    that matches, in the order the format defines."""
+    if cls is type(None):
+        return _encode_none
+    if issubclass(cls, bool):
+        return _encode_bool
+    if issubclass(cls, bytes):
+        return _encode_bytes
+    if issubclass(cls, (int, str)):
+        return _encode_repr
+    if issubclass(cls, float):
+        return _encode_float
+    if issubclass(cls, enum.Enum):
+        return _encode_enum
+    if issubclass(cls, np.ndarray):
+        return _encode_ndarray
+    if issubclass(cls, LookupTable2D):
+        return _fields_encoder(b"LUT", ("index_1", "index_2", "values"))
+    if issubclass(cls, (list, tuple)):
+        return _encode_sequence
+    if issubclass(cls, dict):
+        return _encode_dict
+    if issubclass(cls, type):
+        return _encode_class
+    if dataclasses.is_dataclass(cls):
+        return _fields_encoder(cls.__name__.encode(), _field_names(cls))
+    return _encode_repr
+
+
+class _EncoderTable(dict):
+    """Encoder per exact value type, filled on first sight.
+
+    Two threads meeting a new type at once store equivalent encoders,
+    so filling needs no lock.
+    """
+
+    def __missing__(self, cls):
+        encode = self[cls] = _encoder_for(cls)
+        return encode
+
+
+_ENCODERS = _EncoderTable()
+
+
+#: Encoded pieces gathered before they are hashed: a cell digest is one
+#: update, while a large design's encoding never sits in memory whole.
+_PIECES_PER_UPDATE = 4096
 
 
 def _digest(*parts) -> str:
+    """SHA-256 of the :func:`_feed` encoding of ``parts``, in order.
+
+    The digest is persisted (journal keys, ETM cache keys, campaign DB
+    fingerprints and derived seeds): keep the encoding byte-identical.
+    """
+    return _digest_of(parts)
+
+
+def _digest_of(parts: Iterable) -> str:
+    """:func:`_digest` of the values an iterable yields, consumed lazily."""
     h = hashlib.sha256()
+    out: List[bytes] = []
     for part in parts:
-        _feed(h, part)
+        _feed(out, part)
+        if len(out) >= _PIECES_PER_UPDATE:
+            h.update(b"".join(out))
+            out.clear()
+    h.update(b"".join(out))
     return h.hexdigest()
 
 
@@ -133,17 +257,18 @@ def design_fingerprint(design: Design) -> str:
     :meth:`~repro.netlist.design.Design.bind` and deliberately excluded,
     so the fingerprint is identical before and after binding.
     """
-    h = hashlib.sha256()
-    _feed(h, design.name)
-    _feed(h, {name: d for name, d in design.ports.items()})
-    for name in sorted(design.instances):
-        inst = design.instances[name]
-        _feed(h, (name, inst.cell_name, inst.connections, inst.location,
-                  inst.dont_touch))
-    for name in sorted(design.nets):
-        net = design.nets[name]
-        _feed(h, (name, net.ndr, net.extra_cap))
-    return h.hexdigest()
+    def parts():
+        yield design.name
+        yield design.ports
+        for name in sorted(design.instances):
+            inst = design.instances[name]
+            yield (name, inst.cell_name, inst.connections, inst.location,
+                   inst.dont_touch)
+        for name in sorted(design.nets):
+            net = design.nets[name]
+            yield (name, net.ndr, net.extra_cap)
+
+    return _digest_of(parts())
 
 
 def constraints_fingerprint(constraints: Constraints) -> str:
@@ -969,14 +1094,13 @@ class SignoffScheduler:
                         ref_todo.extend(group)
                         continue
                     for ci, (scenario, fp) in enumerate(group):
-                        report = kernel.report(ci)
-                        report.scenario = scenario.name
                         with obs_tracing.span("scenario",
                                               scenario=scenario.name,
                                               source="vector"):
-                            pass
-                        self.attempts += 1
-                        absorb(scenario, fp, report, ScenarioStatus.OK)
+                            report = kernel.report(ci)
+                            report.scenario = scenario.name
+                            self.attempts += 1
+                            absorb(scenario, fp, report, ScenarioStatus.OK)
 
         isolate = self._needs_isolation(len(ref_todo))
         supervisor = SupervisedExecutor(

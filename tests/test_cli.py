@@ -1,8 +1,16 @@
 """Tests for the command-line interface."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.cli import main
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 
 class TestSta:
@@ -160,9 +168,18 @@ class TestEngineSelection:
         assert self._stable_lines(vec_out) == self._stable_lines(ref_out)
 
     def test_vector_signoff_trace_shows_kernel_spans(self, tmp_path,
-                                                     capsys):
-        import json
+                                                     capsys, monkeypatch):
+        from repro.obs import tracing
+        from repro.sta.kernel import CompiledKernel
 
+        report = CompiledKernel.report
+        enclosing = []
+
+        def recording_report(kernel, ci):
+            enclosing.append(tracing.active_tracer().current_span_id())
+            return report(kernel, ci)
+
+        monkeypatch.setattr(CompiledKernel, "report", recording_report)
         trace = tmp_path / "signoff.trace.json"
         rc = main([
             "signoff", "--design", "tiny", "--period", "800",
@@ -173,6 +190,13 @@ class TestEngineSelection:
         names = {e["name"] for e in payload["traceEvents"]}
         assert {"signoff", "vector_signoff", "kernel_compile",
                 "kernel_batch", "scenario"} <= names
+        # Each vector scenario span covers its report, not a placeholder.
+        vector = {e["args"]["span_id"]: e for e in payload["traceEvents"]
+                  if e["name"] == "scenario"
+                  and e["args"].get("source") == "vector"}
+        assert vector
+        assert all(e["dur"] > 0 for e in vector.values())
+        assert sorted(enclosing) == sorted(vector)
 
 
 class TestObservability:
@@ -246,6 +270,33 @@ class TestObservability:
         assert rc == 1
         assert captured.err.startswith("error:")
         assert "empty" in captured.err
+
+    @pytest.mark.parametrize("unbuffered", [True, False])
+    def test_trace_summarize_into_closed_pipe_exits_four(
+            self, tmp_path, unbuffered):
+        """A reader that leaves early (`| head -1`) ends the run with
+        exit 4 and no traceback, whether print or the final flush is
+        the write that finds the pipe closed."""
+        trace = tmp_path / "run.trace.json"
+        trace.write_text(json.dumps({"traceEvents": [
+            {"name": "signoff", "ph": "X", "ts": 0.0, "dur": 900.0,
+             "args": {"span_id": 1}},
+            {"name": "scenario", "ph": "X", "ts": 10.0, "dur": 400.0,
+             "args": {"span_id": 2, "parent_id": 1}},
+        ]}))
+        env = dict(os.environ, PYTHONPATH=SRC)
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "trace", "summarize",
+             str(trace)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()  # gone before the first byte is written
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 4
+        assert b"Traceback" not in err
+        assert b"Exception ignored" not in err
 
     def test_untraced_run_writes_nothing(self, tmp_path, capsys):
         rc = main([
