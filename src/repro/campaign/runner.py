@@ -12,10 +12,9 @@ into recorded rows of a :class:`~repro.campaign.store.CampaignStore`:
   :class:`~repro.runtime.supervisor.RetryPolicy`, exhausted configs are
   quarantined into the DB's ``failures`` log (retried on resume) while
   the campaign finishes;
-- **tracing** — every config attempt records spans into a private
-  worker tracer that travel home with the result and are ingested under
-  the wave span (the scheduler's :class:`~repro.sta.scheduler.TracedResult`
-  pattern), so ``--trace`` shows the whole campaign;
+- **tracing** — the supervised executor records every config attempt
+  into a private worker tracer and ingests the succeeding attempt's
+  spans under the wave span, so ``--trace`` shows the whole campaign;
 - **daemon dispatch** — with a :class:`DaemonTarget`, each config runs
   as an overlay session against a warm
   :class:`~repro.serve.server.TimingDaemon`: recipe edits go up as one
@@ -380,19 +379,12 @@ def _config_payload_result(config: CampaignConfig,
 
 
 def _run_config_job(payload, attempt: int = 1):
-    """Module-level supervised worker: one config, spans carried home."""
-    from repro.sta.scheduler import TracedResult
-
-    config, trace = payload
-    if not trace:
+    """Module-level supervised worker: one config."""
+    (config,) = payload
+    with obs_tracing.span("campaign_config", index=config.index,
+                          fingerprint=config.fingerprint[:12],
+                          attempt=attempt):
         return _config_payload_result(config, attempt)
-    local = obs_tracing.Tracer()
-    with obs_tracing.use(local):
-        with local.span("campaign_config", index=config.index,
-                        fingerprint=config.fingerprint[:12],
-                        attempt=attempt):
-            result = _config_payload_result(config, attempt)
-    return TracedResult(value=result, spans=local.spans())
 
 
 # ---------------------------------------------------------------------- #
@@ -447,13 +439,12 @@ def _run_config_daemon_job(payload, attempt: int = 1):
     """
     from repro.serve.client import TimingClient
 
-    config, target, trace = payload
-    del trace  # daemon-side spans live in the daemon's tracer
+    config, target = payload
     levels = resolve_levels(config.assignment)
     t0 = time.perf_counter()
 
-    # Recipe edits computed locally on a private copy of the base (the
-    # base design is shared across worker threads; STA binds mutate).
+    # Recipe edits computed locally on a private copy of the base: the
+    # recipe edits the design, and the base is shared across workers.
     design = copy.deepcopy(target.design)
     edits = _apply_recipe(design, target.library, target.constraints,
                           levels["recipe"], int(levels["recipe_budget"]))
@@ -627,10 +618,10 @@ class CampaignRunner:
                 self.on_event(message)
         return _event
 
-    def _payload(self, config: CampaignConfig, trace: bool):
+    def _payload(self, config: CampaignConfig):
         if self.daemon is not None:
-            return (config, self.daemon, trace)
-        return (config, trace)
+            return (config, self.daemon)
+        return (config,)
 
     def _job_fn(self):
         return (_run_config_daemon_job if self.daemon is not None
@@ -647,8 +638,6 @@ class CampaignRunner:
         them anyway (their results are then discarded by the store's
         first-write-wins insert — useful only for testing determinism).
         """
-        from repro.sta.scheduler import TracedResult
-
         t0 = time.perf_counter()
         configs = list(configs if configs is not None
                        else self.spec.expand())
@@ -663,7 +652,6 @@ class CampaignRunner:
             else:
                 todo.append(config)
 
-        tracer = obs_tracing.active_tracer()
         with obs_tracing.span(
             "campaign", campaign=self.spec.name, configs=len(configs),
             todo=len(todo), via_daemon=self.daemon is not None,
@@ -673,7 +661,7 @@ class CampaignRunner:
                 outcome.waves += 1
                 with obs_tracing.span("campaign_wave",
                                       wave=outcome.waves,
-                                      configs=len(wave)) as wave_span:
+                                      configs=len(wave)):
                     executor = SupervisedExecutor(
                         jobs=self.jobs, executor=self.executor,
                         policy=self.policy,
@@ -684,8 +672,7 @@ class CampaignRunner:
                         SupervisedTask(
                             name=f"cfg-{config.index}",
                             fn=self._job_fn(),
-                            payload=self._payload(
-                                config, tracer is not None),
+                            payload=self._payload(config),
                         )
                         for config in wave
                     ]
@@ -693,21 +680,15 @@ class CampaignRunner:
                 # Results commit wave-by-wave: this loop is the
                 # durability boundary the SIGKILL test leans on.
                 for config, execution in zip(wave, executions):
-                    result = execution.result
-                    if isinstance(result, TracedResult):
-                        if tracer is not None:
-                            tracer.ingest(result.spans,
-                                          parent_id=wave_span.span_id)
-                        result = result.value
                     if execution.status is TaskStatus.DEGRADED:
-                        error = (f"{type(execution.error).__name__}: "
-                                 f"{execution.error}")
+                        error = execution.error_text
                         self.store.record_failure(
                             config, error, execution.attempts)
                         outcome.degraded.append(
                             (config.fingerprint, error))
                         obs_metrics.inc("campaign.configs.degraded")
                         continue
+                    result = execution.result
                     self.store.record_result(
                         config, "ok", result["metrics"],
                         result["scenario_rows"],

@@ -141,27 +141,45 @@ class Design:
     def bind(self, library: Library) -> None:
         """Resolve pin directions against a library and build net
         driver/load lists. Must be called after construction and after any
-        structural edit (transforms call it for you)."""
-        for net in self.nets.values():
-            port_driver = net.driver if net.driver and net.driver.is_port else None
-            port_loads = [l for l in net.loads if l.is_port]
-            net.driver = port_driver
-            net.loads = port_loads
+        structural edit (transforms call it for you).
+
+        The new lists are built on the side and only nets whose driver or
+        (ordered) loads differ are written, so a bind that raises leaves
+        the design as it was, and a rebind with a library that agrees on
+        pin directions writes nothing. Every library of a scenario set
+        agrees, which is what lets concurrent analyses of one design
+        share it: no reader ever sees a net mid-rebuild.
+        """
+        drivers: Dict[str, Optional[PinRef]] = {}
+        loads: Dict[str, List[PinRef]] = {}
+        for name, net in self.nets.items():
+            driver = net.driver
+            drivers[name] = driver if driver and driver.is_port else None
+            loads[name] = [l for l in net.loads if l.is_port]
         for inst in self.instances.values():
             cell = library.cell(inst.cell_name)
             for pin_name, net_name in inst.connections.items():
                 pin = cell.pin(pin_name)
-                net = self.net(net_name)
+                if net_name not in loads:
+                    drivers[net_name] = None
+                    loads[net_name] = []
                 ref = PinRef(inst.name, pin_name)
                 if pin.direction is PinDirection.OUTPUT:
-                    if net.driver is not None and net.driver != ref:
+                    driver = drivers[net_name]
+                    if driver is not None and driver != ref:
                         raise NetlistError(
                             f"net {net_name!r} has multiple drivers: "
-                            f"{net.driver} and {ref}"
+                            f"{driver} and {ref}"
                         )
-                    net.driver = ref
+                    drivers[net_name] = ref
                 else:
-                    net.loads.append(ref)
+                    loads[net_name].append(ref)
+        for name, net_loads in loads.items():
+            net = self.nets.get(name) or self.net(name)
+            if net.driver != drivers[name]:
+                net.driver = drivers[name]
+            if net.loads != net_loads:
+                net.loads = net_loads
 
     def validate(self, library: Library) -> None:
         """Check structural sanity: every net driven, every pin connected."""

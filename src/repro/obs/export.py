@@ -153,8 +153,9 @@ class TraceSummary:
     span_count: int
     wall_s: float  # earliest start to latest end across all spans
     #: Scenarios that degraded from the vector engine to the reference
-    #: path (``kernel_fallback`` span events), in event order with
-    #: duplicates collapsed.
+    #: path (``kernel_fallback`` spans, and the ``kernel_fallbacks``
+    #: attribute a ``vector_signoff`` span carries), in event order
+    #: with duplicates collapsed.
     degraded_scenarios: List[str] = None  # type: ignore[assignment]
 
     def __post_init__(self):
@@ -214,7 +215,8 @@ def summarize(events: Iterable[Dict[str, Any]]) -> TraceSummary:
         name = event.get("name", "?")
         dur_us = float(event.get("dur", 0.0))
         ts_us = float(event.get("ts", 0.0))
-        span_id = (event.get("args") or {}).get("span_id")
+        args = event.get("args") or {}
+        span_id = args.get("span_id")
         stat = stats.setdefault(name, PhaseStat(name=name))
         stat.count += 1
         stat.total_s += dur_us / 1e6
@@ -222,7 +224,11 @@ def summarize(events: Iterable[Dict[str, Any]]) -> TraceSummary:
         t_min = min(t_min, ts_us)
         t_max = max(t_max, ts_us + dur_us)
         if name == "kernel_fallback":
-            scenario = (event.get("args") or {}).get("scenario", "?")
+            fallen = [args.get("scenario", "?")]
+        else:
+            fallen = [n for n in args.get("kernel_fallbacks", "").split(",")
+                      if n]
+        for scenario in fallen:
             if scenario not in degraded:
                 degraded.append(scenario)
     ordered = sorted(stats.values(), key=lambda s: (-s.self_s, s.name))

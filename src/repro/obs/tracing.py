@@ -16,11 +16,13 @@ surface via run reports. This module provides the substrate:
   structure, not just presence.
 - **Thread/process-safe collection** — each thread has its own span
   *stack* (parent linkage never crosses threads by accident) while the
-  collected list is shared under a lock. Worker code (thread *or*
-  process pools) records into a private :class:`Tracer` whose spans are
-  returned with the worker's result and :meth:`Tracer.ingest`-ed into
-  the parent tracer afterwards — re-numbered and re-parented
-  deterministically, surviving pickling across the process boundary.
+  collected list is shared under a lock. Supervised workers (thread
+  *or* process pools) record into a private :class:`Tracer`:
+  :meth:`repro.runtime.supervisor.SupervisedExecutor.run` installs it
+  around each attempt, carries its spans home with the result and
+  :meth:`Tracer.ingest`-s them into the caller's tracer after the batch
+  — re-numbered and re-parented deterministically, surviving pickling
+  across the process boundary. Worker code just opens spans.
 - **Cheap disabled path** — module-level :func:`span` consults the
   active tracer (thread-local override, then process default); when none
   is installed it returns a shared no-op span. Disabled cost is one

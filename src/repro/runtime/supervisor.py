@@ -22,9 +22,17 @@ so a timed-out attempt is *abandoned* — its slot is written off and a
 fresh pool is spun up once every slot is lost. Abandoned thread workers
 run to completion in the background (tests keep injected hangs short);
 the timed-out task itself is retried immediately. Because an abandoned
-attempt may still be executing, callers must hand workers private
-(isolated) inputs when timeouts are enabled — the signoff scheduler
-deep-copies the design per attempt for exactly this reason.
+attempt may still be executing, workers must only *read* shared inputs
+— the signoff scheduler's workers share one design, which is safe
+because :meth:`~repro.netlist.design.Design.bind` writes nothing when
+the libraries agree on pin directions.
+
+Tracing: when the caller has an active tracer, each attempt records
+into a private worker tracer (thread-local, so parallel attempts never
+interleave) whose spans travel home with the value — pickled across
+process pools — and are ingested under the caller's current span after
+the batch, in submission order, so span ids are the same for any jobs
+count or executor flavor. A failed attempt's spans die with it.
 
 Results are keyed by task name and returned in submission order, so a
 supervised run is deterministic for any jobs count, executor flavor, or
@@ -45,6 +53,7 @@ from concurrent.futures import (
     wait,
 )
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import (
@@ -56,6 +65,7 @@ from repro.errors import (
     WorkerTimeoutError,
 )
 from repro.obs import metrics as obs_metrics
+from repro.obs import tracing as obs_tracing
 
 #: Executor fallback order: when a pool dies the supervisor downgrades
 #: one step and resubmits outstanding work.
@@ -125,7 +135,6 @@ class TaskExecution:
     name: str
     status: TaskStatus
     attempts: int = 0
-    wall_time_s: float = 0.0
     result: Any = None
     error: Optional[ExecutionError] = None
     #: One line per failed attempt: "attempt N: ErrorClass: message".
@@ -134,6 +143,27 @@ class TaskExecution:
     @property
     def ok(self) -> bool:
         return self.status is not TaskStatus.DEGRADED
+
+    @property
+    def error_text(self) -> Optional[str]:
+        """The quarantine error as "ErrorClass: message" (None if ok)."""
+        if self.error is None:
+            return None
+        return f"{type(self.error).__name__}: {self.error}"
+
+
+def _traced_attempt(fn, payload, attempt):
+    """Run one attempt recording into a private tracer.
+
+    Returns ``(value, spans)`` so the spans travel home with the value.
+    Module-level so process pools can pickle ``partial(_traced_attempt,
+    fn)``; the tracer is thread-local, so parallel attempts never
+    interleave their spans.
+    """
+    local = obs_tracing.Tracer()
+    with obs_tracing.use(local):
+        value = fn(payload, attempt)
+    return value, local.spans()
 
 
 def _call_in_thread(fn, payload, attempt, timeout_s):
@@ -451,17 +481,25 @@ class SupervisedExecutor:
     # ------------------------------------------------------------------ #
 
     def run(self, task_list: Sequence[SupervisedTask]) -> List[TaskExecution]:
-        """Run the batch to completion; one execution per task, in order."""
+        """Run the batch to completion; one execution per task, in order.
+
+        With an active tracer, each succeeding attempt's spans are
+        ingested under the caller's current span (module docstring).
+        """
         names = [t.name for t in task_list]
         if len(set(names)) != len(names):
             raise TimingError("supervised task names must be unique")
-        tasks = {t.name: t for t in task_list}
+        tracer = obs_tracing.active_tracer()
+        tasks = {
+            t.name: (t if tracer is None else SupervisedTask(
+                t.name, partial(_traced_attempt, t.fn), t.payload))
+            for t in task_list
+        }
         executions = {
             name: TaskExecution(name=name, status=TaskStatus.DEGRADED)
             for name in names
         }
         queue: deque = deque((name, 1) for name in names)
-        t0 = time.perf_counter()
 
         flavor = self.executor
         while queue:
@@ -487,7 +525,11 @@ class SupervisedExecutor:
             flavor = nxt
         self.executor_used = flavor
 
-        wall = time.perf_counter() - t0
-        for execution in executions.values():
-            execution.wall_time_s = wall
-        return [executions[name] for name in names]
+        ordered = [executions[name] for name in names]
+        if tracer is not None:
+            parent_id = tracer.current_span_id()
+            for execution in ordered:
+                if execution.ok:
+                    execution.result, spans = execution.result
+                    tracer.ingest(spans, parent_id=parent_id)
+        return ordered

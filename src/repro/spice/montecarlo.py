@@ -11,10 +11,16 @@ perturbed — threshold shift and current-factor scale — matching the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, List, Sequence
 
 import numpy as np
 
+from repro.runtime.supervisor import (
+    RetryPolicy,
+    SupervisedExecutor,
+    SupervisedTask,
+)
 from repro.spice.network import Circuit
 
 
@@ -92,22 +98,27 @@ def evaluate_samples(
 ) -> List[object]:
     """Evaluate ``evaluate(index, rng)`` for every sample, batched.
 
-    Fans samples out over the signoff scheduler's worker pool
-    (:func:`repro.sta.scheduler.parallel_map`); results come back in
-    sample order and each sample's generator is spawned from the master
-    seed, so the output is independent of ``jobs``/``executor``.
+    Each sample is one supervised task without retries
+    (:class:`~repro.runtime.supervisor.SupervisedExecutor`); results come
+    back in sample order and each sample's generator is spawned from the
+    master seed, so the output is independent of ``jobs``/``executor``.
+    The first failed sample raises its
+    :class:`~repro.errors.TaskDegradedError`.
     """
-    from functools import partial
-
-    from repro.sta.scheduler import parallel_map
-
-    seeds = sample_seeds(seed, n_samples)
     one = partial(_evaluate_one, evaluate)
-    return parallel_map(one, list(enumerate(seeds)), jobs=jobs,
-                        executor=executor)
+    executions = SupervisedExecutor(
+        jobs=jobs, executor=executor, policy=RetryPolicy(retries=0),
+    ).run([
+        SupervisedTask(f"sample-{index}", one, (index, child))
+        for index, child in enumerate(sample_seeds(seed, n_samples))
+    ])
+    for execution in executions:
+        if not execution.ok:
+            raise execution.error
+    return [execution.result for execution in executions]
 
 
-def _evaluate_one(evaluate, arg):
+def _evaluate_one(evaluate, sample, attempt: int = 1):
     """Module-level so process pools can pickle the partial application."""
-    index, child = arg
+    index, child = sample
     return evaluate(index, np.random.default_rng(child))

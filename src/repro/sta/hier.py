@@ -48,9 +48,7 @@ cannot be tabulated at a boundary and is out of scope here.
 
 from __future__ import annotations
 
-import copy
 import math
-import os
 import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -83,7 +81,6 @@ from repro.sta.scheduler import (
     ScenarioResultCache,
     SignoffOutcome,
     SignoffScheduler,
-    TracedResult,
     design_fingerprint,
     fingerprint_pass,
     scenario_fingerprint,
@@ -125,34 +122,20 @@ def _extract_etm_job(job, attempt: int = 1):
     """Module-level ETM extraction worker (process pools pickle it).
 
     Runs exactly one full STA per extraction: :func:`extract_etm` reads
-    the analysis' retained ``sta.report`` instead of re-running. The
-    ``etm_extract`` span records the worker pid so tests (and the trace
-    summary) can prove the fan-out actually crossed process boundaries.
+    the analysis' retained ``sta.report`` instead of re-running. Thread
+    workers share the block design, as signoff workers do (see
+    :meth:`Design.bind`).
     """
     (block, design, library, constraints, stack, corner_name, temp_c,
-     derates, isolate, trace) = job
+     derates) = job
     corner = conventional_corners(stack)[corner_name]
-    if not trace:
-        if isolate:
-            design = copy.deepcopy(design)
+    with obs_tracing.span("etm_extract", block=block, attempt=attempt):
         sta = STA(design, library, constraints, stack=stack,
                   beol_corner=corner, temp_c=temp_c, derates=derates)
-        sta.run()
-        return extract_etm(sta)
-
-    local = obs_tracing.Tracer()
-    with obs_tracing.use(local):
-        with local.span("etm_extract", block=block, pid=os.getpid(),
-                        attempt=attempt, isolated=isolate):
-            if isolate:
-                design = copy.deepcopy(design)
-            sta = STA(design, library, constraints, stack=stack,
-                      beol_corner=corner, temp_c=temp_c, derates=derates)
-            with local.span("sta_run", block=block):
-                sta.run()
-            with local.span("etm_tabulate", block=block):
-                etm = extract_etm(sta)
-    return TracedResult(value=etm, spans=local.spans())
+        with obs_tracing.span("sta_run", block=block):
+            sta.run()
+        with obs_tracing.span("etm_tabulate", block=block):
+            return extract_etm(sta)
 
 
 # ---------------------------------------------------------------------- #
@@ -403,7 +386,6 @@ class HierSignoffOutcome:
     etms: Dict[Tuple[str, str], ExtractedTimingModel]  # (scenario, block)
     extractions: List[BlockExtraction] = field(default_factory=list)
     degraded: List[str] = field(default_factory=list)  # scenario names
-    worker_pids: Set[int] = field(default_factory=set)
     etm_cache_hits: int = 0
     etm_computed: int = 0
     wall_time_s: float = 0.0
@@ -457,11 +439,9 @@ class HierSignoffOutcome:
                 )
                 lines.append(f"  {scen:<24} {worst:10.3f}  "
                              f"(worst block: {worst_block})")
-        pids = sorted(self.worker_pids)
         lines.append(
             f"ETM extractions: {self.etm_computed} computed / "
             f"{self.etm_cache_hits} cached"
-            + (f" across {len(pids)} worker pid(s)" if pids else "")
         )
         lines.append(f"hier merged WNS ({mode}): "
                      f"{self.merged_wns(mode):.3f}")
@@ -587,12 +567,10 @@ class HierScheduler:
         return plan
 
     def _signoff_traced(self) -> HierSignoffOutcome:
-        tracer = obs_tracing.active_tracer()
         t0 = time.perf_counter()
         events: List[str] = []
         etms: Dict[Tuple[str, str], ExtractedTimingModel] = {}
         extractions: List[BlockExtraction] = []
-        worker_pids: Set[int] = set()
         degraded_scenarios: Set[str] = set()
 
         with obs_tracing.span("etm_plan", blocks=len(self.hier.blocks),
@@ -612,15 +590,11 @@ class HierScheduler:
             else:
                 todo_keys.append(key)
 
-        isolate = (self.policy.timeout_s is not None
-                   or (self.jobs > 1 and len(todo_keys) > 1
-                       and self.executor != "serial"))
         supervisor = SupervisedExecutor(
             jobs=self.jobs, executor=self.executor, policy=self.policy,
             allow_fallback=self.allow_fallback, on_event=events.append,
         )
-        with obs_tracing.span("etm_fanout", count=len(todo_keys),
-                              isolated=isolate) as fanout_span:
+        with obs_tracing.span("etm_fanout", count=len(todo_keys)):
             executions = supervisor.run([
                 SupervisedTask(
                     name=(f"etm:{plan[key]['consumers'][0][0]}:"
@@ -635,8 +609,6 @@ class HierScheduler:
                         plan[key]["scenario"].beol_corner_name,
                         plan[key]["scenario"].temp_c,
                         plan[key]["scenario"].derates,
-                        isolate,
-                        tracer is not None,
                     ),
                 )
                 for key in todo_keys
@@ -646,25 +618,14 @@ class HierScheduler:
         for key, execution in zip(todo_keys, executions):
             consumers = plan[key]["consumers"]
             if execution.status is TaskStatus.DEGRADED:
-                error = (f"{type(execution.error).__name__}: "
-                         f"{execution.error}")
                 for scen, block in consumers:
                     degraded_scenarios.add(scen)
                     extractions.append(BlockExtraction(
                         block=block, scenario=scen, status="degraded",
-                        attempts=execution.attempts, error=error))
+                        attempts=execution.attempts,
+                        error=execution.error_text))
                 continue
             result = execution.result
-            if isinstance(result, TracedResult):
-                if tracer is not None:
-                    tracer.ingest(result.spans,
-                                  parent_id=fanout_span.span_id)
-                for span in result.spans:
-                    if span.name == "etm_extract":
-                        pid = span.attrs.get("pid")
-                        if pid is not None:
-                            worker_pids.add(pid)
-                result = result.value
             if self.etm_cache is not None:
                 self.etm_cache.store(*key, result)
             status = ("ok" if execution.status is TaskStatus.OK
@@ -727,7 +688,6 @@ class HierScheduler:
             etms=etms,
             extractions=extractions,
             degraded=sorted(degraded_scenarios),
-            worker_pids=worker_pids,
             etm_cache_hits=cache_hits,
             etm_computed=len(todo_keys),
             wall_time_s=time.perf_counter() - t0,

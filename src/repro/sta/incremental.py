@@ -211,16 +211,16 @@ class IncrementalTimer:
                 except KernelCompileError as exc:
                     self.kernel_fallbacks += 1
                     obs_metrics.inc("kernel.fallbacks")
-                    # Span event (not just the counter) so `trace
-                    # summarize` can name the degraded scenario.
+                    # The span (not just the counter) encloses the
+                    # reference re-run, and `trace summarize` names the
+                    # degraded scenario from it.
                     with obs_tracing.span(
                         "kernel_fallback",
                         scenario=sta.library.name,
                         design=sta.design.name,
                         error=str(exc),
                     ):
-                        pass
-                    report = sta.run()
+                        report = sta.run()
             else:
                 report = sta.run()
             sta.report = report

@@ -18,10 +18,9 @@ independent STA run. This module attacks both axes:
   incremental timer (:mod:`repro.sta.incremental`) notifies registered
   caches when it edits a design so stale snapshots are dropped eagerly.
 
-The same executor batches Monte Carlo sample evaluation
-(:func:`parallel_map` with per-sample spawned seeds — see
-:mod:`repro.spice.montecarlo`), keeping parallel and serial sampling
-bit-identical.
+The same supervised executor batches Monte Carlo sample evaluation
+(:func:`repro.spice.montecarlo.evaluate_samples` with per-sample
+spawned seeds), keeping parallel and serial sampling bit-identical.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ import hashlib
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -514,10 +512,10 @@ class ScenarioTimerPool:
     design — a no-op pass (empty edit list) leaves cached scenario
     reports intact.
 
-    The pool is a *serial* engine by design: timers hold live STA state
-    bound to the shared design, which is exactly the thing PR 1 had to
-    deep-copy to make thread workers safe. Warm-starting and fan-out are
-    different trades; the closure loop wants the former.
+    The pool is a *serial* engine by design: timers hold live, mutable
+    STA state bound to the shared design, and their ECO retimes edit
+    that design. Warm-starting and fan-out are different trades; the
+    closure loop wants the former.
     """
 
     def __init__(self, engine: str = "reference", fault_injector=None):
@@ -636,7 +634,7 @@ class ScenarioTimerPool:
                 obs_metrics.inc("kernel.fallbacks")
                 with obs_tracing.span("kernel_fallback", scenario=name,
                                       error=str(exc)):
-                    pass
+                    return sta.run()
         return sta.run()
 
 
@@ -644,87 +642,25 @@ class ScenarioTimerPool:
 # executor
 
 
-@dataclass
-class TracedResult:
-    """A worker result plus the spans recorded while computing it.
-
-    Workers run in threads or separate processes, so their spans cannot
-    be appended to the coordinator's tracer directly; they travel back
-    with the result (pickled across process pools) and are
-    :meth:`~repro.obs.tracing.Tracer.ingest`-ed afterwards. Spans of
-    *failed* attempts die with the attempt — only the succeeding
-    attempt's spans reach the trace.
-    """
-
-    value: object
-    spans: List[obs_tracing.Span] = field(default_factory=list)
-
-
 def _run_scenario_job(job, attempt: int = 1):
     """Module-level worker so process pools can pickle it.
 
-    ``isolate`` makes the worker analyze a private deep copy of the
-    design. Running STA *mutates* the design — :class:`~repro.sta.analysis.STA`
-    calls :meth:`Design.bind`, which rebuilds every net's driver/load
-    lists — so thread-pool workers sharing one Design object race:
-    one worker's re-bind momentarily nulls ``net.driver`` while another
-    is mid-propagation, crashing or silently corrupting slacks. Process
-    pools get this isolation for free from pickling; threads must copy.
-    Abandoned (timed-out) attempts are a third overlap source: the hung
-    worker may still be binding when the retry starts, so supervision
-    with timeouts also forces isolation.
+    Thread workers, and an abandoned (timed-out) attempt still running
+    beside its retry, all analyze the one shared design. That is safe
+    because analysis only binds it, and a rebind with a library that
+    agrees on pin directions writes nothing (:meth:`Design.bind`).
 
     ``injector`` (a :class:`repro.testing.faults.FaultInjector`) fires
     planned faults at (scenario, attempt) coordinates before analysis —
     the hook the chaos suite drives crash/hang/pool-death recovery with.
-
-    ``trace`` arms per-worker tracing: the attempt records into a
-    private tracer (thread-local, so parallel workers never interleave)
-    and returns a :class:`TracedResult` carrying its spans home.
     """
-    scenario, design, stack, isolate, injector, trace = job
-    if not trace:
+    scenario, design, stack, injector = job
+    with obs_tracing.span("scenario", scenario=scenario.name,
+                          attempt=attempt):
         if injector is not None:
             injector.fire(scenario.name, attempt)
-        if isolate:
-            design = copy.deepcopy(design)
-        return scenario.run(design, stack)
-
-    local = obs_tracing.Tracer()
-    with obs_tracing.use(local):
-        with local.span("scenario", scenario=scenario.name,
-                        attempt=attempt, isolated=isolate):
-            if injector is not None:
-                injector.fire(scenario.name, attempt)
-            if isolate:
-                with local.span("isolate_design", design=design.name):
-                    design = copy.deepcopy(design)
-            with local.span("sta_run", scenario=scenario.name):
-                report = scenario.run(design, stack)
-    return TracedResult(value=report, spans=local.spans())
-
-
-def parallel_map(fn: Callable, items: Iterable, jobs: int = 1,
-                 executor: str = "thread") -> List:
-    """Map ``fn`` over ``items``, preserving order, optionally in a pool.
-
-    ``jobs <= 1`` (or a single item, or ``executor="serial"``) runs
-    serially in-process. Results are returned in input order regardless
-    of completion order, so callers see identical output for any job
-    count. ``executor="process"`` requires ``fn`` and the items to be
-    picklable.
-    """
-    if executor not in EXECUTORS:
-        raise TimingError(
-            f"unknown executor {executor!r}; pick from {EXECUTORS}"
-        )
-    work = list(items)
-    if jobs <= 1 or len(work) <= 1 or executor == "serial":
-        return [fn(item) for item in work]
-    pool_cls = ProcessPoolExecutor if executor == "process" \
-        else ThreadPoolExecutor
-    with pool_cls(max_workers=min(jobs, len(work))) as pool:
-        return list(pool.map(fn, work))
+        with obs_tracing.span("sta_run", scenario=scenario.name):
+            return scenario.run(design, stack)
 
 
 # ---------------------------------------------------------------------- #
@@ -928,21 +864,6 @@ class SignoffScheduler:
         #: Individual attempts, including failed ones (>= evaluations).
         self.attempts = 0
 
-    def _needs_isolation(self, todo_count: int) -> bool:
-        """Must workers analyze private design copies?
-
-        STA mutates the design it analyzes (bind rebuilds net
-        driver/load lists), so isolation is required whenever two
-        analyses can overlap in this process: parallel thread workers,
-        or an abandoned (timed-out / hung) attempt still running while
-        its retry starts. The process executor is included too because
-        pool death falls it back to threads.
-        """
-        if self.policy.timeout_s is not None or \
-                self.fault_injector is not None:
-            return True
-        return self.jobs > 1 and todo_count > 1 and self.executor != "serial"
-
     def signoff(self, design: Design) -> SignoffOutcome:
         """Run (or reuse) every scenario and merge the results."""
         with fingerprint_pass(), obs_tracing.span(
@@ -964,7 +885,6 @@ class SignoffScheduler:
 
     def _signoff_traced(self, design: Design,
                         signoff_span) -> SignoffOutcome:
-        tracer = obs_tracing.active_tracer()
         t0 = time.perf_counter()
         stats_before = (copy.copy(self.cache.stats)
                         if self.cache is not None else None)
@@ -974,7 +894,7 @@ class SignoffScheduler:
         journal_hits: List[str] = []
         todo = []
         with obs_tracing.span("cache_triage",
-                              scenarios=len(self.scenarios)):
+                              scenarios=len(self.scenarios)) as triage:
             design_fp = design_fingerprint(design)
             for scenario in self.scenarios:
                 fp = scenario_fingerprint(scenario)
@@ -989,10 +909,6 @@ class SignoffScheduler:
                         name=scenario.name, status=ScenarioStatus.CACHED,
                         fingerprint=fp,
                     )
-                    with obs_tracing.span("scenario",
-                                          scenario=scenario.name,
-                                          source="cache"):
-                        pass
                     continue
                 if self.journal is not None:
                     entry = self.journal.lookup("scenario", key)
@@ -1006,12 +922,12 @@ class SignoffScheduler:
                         )
                         if self.cache is not None:
                             self.cache.store(*key, entry)
-                        with obs_tracing.span("scenario",
-                                              scenario=scenario.name,
-                                              source="journal"):
-                            pass
                         continue
                 todo.append((scenario, fp))
+            if hits:
+                triage.set(cached=",".join(hits))
+            if journal_hits:
+                triage.set(journaled=",".join(journal_hits))
 
         events: List[str] = []
         recomputed: List[str] = []
@@ -1063,7 +979,7 @@ class SignoffScheduler:
                     constraints_fingerprint(scenario.constraints), []
                 ).append((scenario, fp))
             with obs_tracing.span("vector_signoff", modes=len(modes),
-                                  scenarios=len(todo)):
+                                  scenarios=len(todo)) as vector_span:
                 for group in modes.values():
                     try:
                         if self.fault_injector is not None:
@@ -1084,13 +1000,6 @@ class SignoffScheduler:
                             "vector engine fell back to reference for "
                             f"{len(group)} scenario(s): {exc}"
                         )
-                        for scenario, _ in group:
-                            with obs_tracing.span(
-                                "kernel_fallback",
-                                scenario=scenario.name,
-                                error=str(exc),
-                            ):
-                                pass
                         ref_todo.extend(group)
                         continue
                     for ci, (scenario, fp) in enumerate(group):
@@ -1101,8 +1010,11 @@ class SignoffScheduler:
                             report.scenario = scenario.name
                             self.attempts += 1
                             absorb(scenario, fp, report, ScenarioStatus.OK)
+                if ref_todo:
+                    # The reference fan-out below runs these scenarios.
+                    vector_span.set(kernel_fallbacks=",".join(
+                        scenario.name for scenario, _ in ref_todo))
 
-        isolate = self._needs_isolation(len(ref_todo))
         supervisor = SupervisedExecutor(
             jobs=self.jobs,
             executor=self.executor,
@@ -1110,14 +1022,13 @@ class SignoffScheduler:
             allow_fallback=self.allow_fallback,
             on_event=events.append,
         )
-        with obs_tracing.span("scenario_fanout", count=len(ref_todo),
-                              isolated=isolate) as fanout_span:
+        with obs_tracing.span("scenario_fanout", count=len(ref_todo)):
             executions = supervisor.run([
                 SupervisedTask(
                     name=scenario.name,
                     fn=_run_scenario_job,
-                    payload=(scenario, design, self.stack, isolate,
-                             self.fault_injector, tracer is not None),
+                    payload=(scenario, design, self.stack,
+                             self.fault_injector),
                 )
                 for scenario, _ in ref_todo
             ])
@@ -1130,25 +1041,14 @@ class SignoffScheduler:
                 records[scenario.name] = ScenarioRecord(
                     name=scenario.name, status=ScenarioStatus.DEGRADED,
                     attempts=execution.attempts, fingerprint=fp,
-                    error=(f"{type(execution.error).__name__}: "
-                           f"{execution.error}"),
+                    error=execution.error_text,
                     error_chain=list(execution.error_chain),
                 )
                 continue
-            report = execution.result
-            if isinstance(report, TracedResult):
-                # Worker spans come home with the result; adopt them
-                # under the fan-out span in submission order, so span
-                # ids stay deterministic for any jobs count and the
-                # summary's self-time attribution stays additive.
-                if tracer is not None:
-                    tracer.ingest(report.spans,
-                                  parent_id=fanout_span.span_id)
-                report = report.value
             status = (ScenarioStatus.OK
                       if execution.status is TaskStatus.OK
                       else ScenarioStatus.RETRIED)
-            absorb(scenario, fp, report, status,
+            absorb(scenario, fp, execution.result, status,
                    attempts=execution.attempts,
                    error_chain=execution.error_chain)
 

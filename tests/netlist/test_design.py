@@ -3,9 +3,9 @@
 import pytest
 
 from repro.errors import NetlistError
-from repro.liberty import make_library
+from repro.liberty import LibraryCondition, make_library
 from repro.netlist.design import Design, PinRef, PortDirection
-from repro.netlist.generators import tiny_design
+from repro.netlist.generators import hierarchical_soc, tiny_design
 
 
 @pytest.fixture(scope="module")
@@ -18,6 +18,22 @@ def tiny(lib):
     d = tiny_design()
     d.bind(lib)
     return d
+
+
+def net_lists(design):
+    """Every net's driver and loads objects, by net name."""
+    return {name: (net.driver, net.loads)
+            for name, net in design.nets.items()}
+
+
+def assert_rebind_writes_nothing(design, library):
+    before = net_lists(design)
+    design.bind(library)
+    after = net_lists(design)
+    assert list(after) == list(before)
+    for name, (driver, loads) in before.items():
+        assert after[name][0] is driver, name
+        assert after[name][1] is loads, name
 
 
 class TestPinRef:
@@ -68,13 +84,103 @@ class TestBind:
         before = list(tiny.get_net("n1").loads)
         tiny.bind(lib)
         assert tiny.get_net("n1").loads == before
+        assert_rebind_writes_nothing(tiny, lib)
+
+        # Every view of a nine-view signoff agrees on pin directions, so
+        # rebinding the shared flat design with any of them writes
+        # nothing -- what lets parallel scenarios share one design.
+        from repro.sta.hier import HierScheduler, build_stub_view
+        from repro.sta.mcmm import standard_scenario_set
+
+        hier = hierarchical_soc(seed=2, n_blocks=2)
+        views = standard_scenario_set(
+            hier.top_constraints(period=900.0),
+            lambda process, vdd, temp: make_library(LibraryCondition(
+                process=process, vdd=vdd, temp_c=temp)),
+        )
+        flat = hier.flatten()
+        flat.bind(lib)
+        for scenario in views.scenarios:
+            assert_rebind_writes_nothing(flat, scenario.library)
+
+        # The same holds for the hier pass's stub design and its nine
+        # per-view stub libraries.
+        outcome = HierScheduler(hier, views.scenarios, jobs=1,
+                                executor="serial").signoff()
+        stubs = [
+            build_stub_view(hier, {b: outcome.etms[(s.name, b)]
+                                   for b in hier.blocks},
+                            s, views.stack)
+            for s in views.scenarios
+        ]
+        stub_design = stubs[0][0]
+        assert len({id(library) for _, library in stubs}) == 9
+        for _, stub_library in stubs:
+            assert_rebind_writes_nothing(stub_design, stub_library)
 
     def test_multiple_drivers_rejected(self, lib):
         d = Design("x")
         d.add_instance("u1", "INV_X1_SVT", {"A": "a", "ZN": "z"})
         d.add_instance("u2", "INV_X1_SVT", {"A": "b", "ZN": "z"})
+        before = net_lists(d)
         with pytest.raises(NetlistError, match="multiple drivers"):
             d.bind(lib)
+        # A bind that raises leaves the design as it was.
+        assert net_lists(d) == before
+
+        # Also on a bound design whose edit added a second driver and
+        # a net only the edited connections name.
+        d = Design("y")
+        d.add_port("a", PortDirection.INPUT)
+        d.add_instance("u1", "INV_X1_SVT", {"A": "a", "ZN": "z"})
+        d.add_instance("u2", "INV_X1_SVT", {"A": "z", "ZN": "y"})
+        d.bind(lib)
+        before = {name: (driver, list(loads))
+                  for name, (driver, loads) in net_lists(d).items()}
+        d.instance("u2").connections.update({"A": "fresh", "ZN": "z"})
+        with pytest.raises(NetlistError, match="multiple drivers"):
+            d.bind(lib)
+        assert {name: (driver, list(loads))
+                for name, (driver, loads) in net_lists(d).items()} == before
+
+    def test_concurrent_rebinds_never_expose_a_partial_net(self, lib):
+        """Threads rebinding one design with agreeing libraries while
+        reading it: every read sees the complete driver/load lists."""
+        import sys
+        import threading
+
+        from repro.netlist.generators import random_logic
+
+        libs = [lib, make_library(LibraryCondition(
+            process="ss", vdd=0.72, temp_c=125.0))]
+        d = random_logic(n_gates=200, n_levels=6, seed=5)
+        d.bind(lib)
+        expected = {name: (driver, list(loads))
+                    for name, (driver, loads) in net_lists(d).items()}
+        mismatches = []
+
+        def rebind_and_read(k):
+            for i in range(15):
+                d.bind(libs[(k + i) % 2])
+                for name, (driver, loads) in expected.items():
+                    net = d.nets[name]
+                    if net.driver != driver or net.loads != loads:
+                        mismatches.append(name)
+                        return
+
+        threads = [threading.Thread(target=rebind_and_read, args=(k,))
+                   for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert mismatches == []
 
     def test_validate_catches_unconnected_pin(self, lib):
         d = Design("x")

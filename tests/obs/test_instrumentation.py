@@ -194,13 +194,10 @@ class TestSignoffTracing:
                      s.attrs.get("scenario"))
                     for s in tracer.spans()]
 
-        # jobs=1 legitimately skips isolate_design spans (serial runs
-        # need no design isolation); parallel runs must match exactly.
+        # Workers share the design, so every jobs count records the
+        # same spans under the same ids.
         assert run(2) == run(3)
-        serial = [row for row in run(1) if row[2] != "isolate_design"]
-        parallel = [row[2:] for row in run(2)
-                    if row[2] != "isolate_design"]
-        assert [row[2:] for row in serial] == parallel
+        assert run(1) == run(2)
 
     def test_untraced_signoff_records_no_spans(self, lib, lib_ss):
         scenarios = make_scenarios(lib, lib_ss)
@@ -280,3 +277,122 @@ class TestJournalDegradationSurfaced:
         assert not journal.available
         assert any("checkpoint unavailable" in e for e in outcome.events)
         assert registry.counter("runtime.journal.io_errors").value >= 1
+
+
+class TestSpansEncloseTheirWork:
+    """No span opens and closes around nothing: a fallback span encloses
+    the reference run it names, and cache/journal hits are attributes of
+    the triage span that looked them up."""
+
+    @staticmethod
+    def _record_open_span(monkeypatch, owner, attr):
+        """Patch ``owner.attr`` to record the span open around each call."""
+        original = getattr(owner, attr)
+        opened = []
+
+        def recording(*args, **kwargs):
+            opened.append(obs_tracing.active_tracer().current_span_id())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, recording)
+        return opened
+
+    def test_pool_fallback_span_encloses_the_reference_run(
+            self, lib, monkeypatch):
+        from repro.sta import STA
+        from repro.sta.scheduler import ScenarioTimerPool
+        from repro.testing.faults import Fault, FaultInjector, FaultPlan
+
+        d, c = constrained_design(n_gates=120)
+        pool = ScenarioTimerPool(engine="vector", fault_injector=(
+            FaultInjector(FaultPlan.of(Fault("kernel_compile", task="tt")))))
+        opened = self._record_open_span(monkeypatch, STA, "run")
+        tracer = Tracer()
+        with obs_tracing.use(tracer):
+            pool.retime("tt", build=lambda: STA(d, lib, c))
+        (fallback,) = [s for s in tracer.spans()
+                       if s.name == "kernel_fallback"]
+        assert opened == [fallback.span_id]
+        assert fallback.attrs["scenario"] == "tt"
+        summary = summarize(chrome_trace(tracer.spans())["traceEvents"])
+        assert summary.degraded_scenarios == ["tt"]
+
+    def test_incremental_fallback_span_encloses_the_reference_run(
+            self, lib, monkeypatch):
+        import repro.sta.incremental as incremental
+        from repro.sta import STA, IncrementalTimer
+        from repro.sta.kernel import KernelCompileError
+
+        d, c = constrained_design(n_gates=120)
+        sta = STA(d, lib, c)
+        sta.run()
+        timer = IncrementalTimer(sta, engine="vector")
+
+        def no_kernel(sta):
+            raise KernelCompileError("arc sets differ")
+
+        monkeypatch.setattr(incremental, "kernel_full_run", no_kernel)
+        opened = self._record_open_span(monkeypatch, STA, "run")
+        tracer = Tracer()
+        with obs_tracing.use(tracer):
+            timer.full_update()
+        (fallback,) = [s for s in tracer.spans()
+                       if s.name == "kernel_fallback"]
+        assert opened == [fallback.span_id]
+        assert timer.kernel_fallbacks == 1
+
+    def test_vector_signoff_names_its_fallbacks(self, lib, lib_ss):
+        from repro.testing.faults import Fault, FaultInjector, FaultPlan
+
+        scenarios = make_scenarios(lib, lib_ss)
+        injector = FaultInjector(FaultPlan.of(
+            Fault("kernel_compile", task="ss_cw")))
+        tracer = Tracer()
+        with obs_tracing.use(tracer):
+            outcome = SignoffScheduler(
+                scenarios, jobs=2, engine="vector",
+                fault_injector=injector,
+            ).signoff(make_design())
+        assert sorted(outcome.reports) == sorted(s.name for s in scenarios)
+        spans = tracer.spans()
+        # The whole mode fell back; the reference fan-out ran it.
+        (vector,) = [s for s in spans if s.name == "vector_signoff"]
+        assert vector.attrs["kernel_fallbacks"] == "tt_typ,ss_cw,ss_rcw"
+        assert not [s for s in spans if s.name == "kernel_fallback"]
+        (fanout,) = [s for s in spans if s.name == "scenario_fanout"]
+        assert [s.attrs["scenario"] for s in spans
+                if s.parent_id == fanout.span_id] == \
+            ["tt_typ", "ss_cw", "ss_rcw"]
+        summary = summarize(chrome_trace(spans)["traceEvents"])
+        assert summary.degraded_scenarios == ["tt_typ", "ss_cw", "ss_rcw"]
+
+    def test_cache_and_journal_hits_are_triage_attributes(
+            self, lib, lib_ss, tmp_path, monkeypatch):
+        from repro.runtime.journal import RunJournal
+
+        scenarios = make_scenarios(lib, lib_ss)
+        design = make_design()
+        cache = ScenarioResultCache()
+        path = tmp_path / "run.journal"
+        SignoffScheduler(scenarios[:1], cache=cache).signoff(design)
+        SignoffScheduler(scenarios, journal=RunJournal(path)).signoff(design)
+
+        cache_opened = self._record_open_span(
+            monkeypatch, ScenarioResultCache, "lookup")
+        journal_opened = self._record_open_span(
+            monkeypatch, RunJournal, "lookup")
+        tracer = Tracer()
+        with obs_tracing.use(tracer):
+            outcome = SignoffScheduler(
+                scenarios, cache=cache, journal=RunJournal(path),
+            ).signoff(design)
+        assert outcome.cache_hits == ["tt_typ"]
+        assert outcome.journal_hits == ["ss_cw", "ss_rcw"]
+        spans = tracer.spans()
+        (triage,) = [s for s in spans if s.name == "cache_triage"]
+        assert set(cache_opened) == {triage.span_id}
+        assert set(journal_opened) == {triage.span_id}
+        assert triage.attrs["cached"] == "tt_typ"
+        assert triage.attrs["journaled"] == "ss_cw,ss_rcw"
+        assert not [s for s in spans if s.name == "scenario"]
+

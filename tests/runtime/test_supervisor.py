@@ -1,6 +1,7 @@
 """Tests for the supervised executor: retries, timeouts, quarantine,
 executor fallback."""
 
+import os
 import time
 
 import pytest
@@ -10,6 +11,8 @@ from repro.errors import (
     TaskDegradedError,
     TimingError,
 )
+from repro.obs import tracing as obs_tracing
+from repro.obs.tracing import Tracer
 from repro.runtime.supervisor import (
     RetryPolicy,
     SupervisedExecutor,
@@ -224,7 +227,52 @@ class TestFallback:
         assert by_name["t2"].status is not TaskStatus.DEGRADED
 
 
-class TestWallTime:
-    def test_wall_time_recorded(self):
-        sup, execs = run_tasks(_ok, [1], executor="serial")
-        assert execs[0].wall_time_s >= 0.0
+def _spanned(payload, attempt):
+    """One span per attempt; the first attempt on "b" fails inside it."""
+    with obs_tracing.span("work", payload=payload, attempt=attempt):
+        if payload == "b" and attempt == 1:
+            raise ValueError("transient")
+    return payload.upper()
+
+
+class TestWorkerTracing:
+    """The executor carries worker spans home; call sites only open
+    spans."""
+
+    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    def test_traced_batch_ingests_succeeding_attempts_in_order(
+            self, executor):
+        tracer = Tracer()
+        with obs_tracing.use(tracer):
+            with obs_tracing.span("fanout") as fanout:
+                sup, execs = run_tasks(
+                    _spanned, ["a", "b", "c"], jobs=2, executor=executor,
+                    policy=RetryPolicy(retries=1, backoff_s=0.0),
+                )
+        assert [e.result for e in execs] == ["A", "B", "C"]
+        assert [e.status for e in execs] == [
+            TaskStatus.OK, TaskStatus.RETRIED, TaskStatus.OK
+        ]
+        work = [s for s in tracer.spans() if s.name == "work"]
+        # Ids follow submission order; b's failed attempt left no span.
+        assert [(s.attrs["payload"], s.attrs["attempt"]) for s in work] \
+            == [("a", 1), ("b", 2), ("c", 1)]
+        assert all(s.parent_id == fanout.span_id for s in work)
+        assert all("error" not in s.attrs for s in work)
+        in_caller = {s.pid == os.getpid() for s in work}
+        assert in_caller == {executor != "process"}
+
+    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    def test_untraced_batch_returns_plain_values(self, executor):
+        with obs_tracing.use(None):
+            sup, execs = run_tasks(_spanned, ["a", "c"], jobs=2,
+                                   executor=executor)
+        assert [e.result for e in execs] == ["A", "C"]
+
+    def test_degraded_task_error_text(self):
+        sup, execs = run_tasks(_always_fails, ["a"], executor="serial",
+                               policy=RetryPolicy(retries=0))
+        (e,) = execs
+        assert e.error_text == f"TaskDegradedError: {e.error}"
+        assert "persistent corruption" in e.error_text
+        assert run_tasks(_ok, [1])[1][0].error_text is None

@@ -179,7 +179,8 @@ class TestAgreement:
 class TestProcessFanout:
     def test_extractions_cross_process_boundaries(self, lib):
         """Acceptance: per-block extraction fans across >= 2 worker
-        processes, proven by the pids recorded on etm_extract spans."""
+        processes, proven by the pids of the ingested etm_extract
+        spans."""
         hier = hierarchical_soc(seed=2, n_blocks=4)
         scen = Scenario(name="tt", library=lib,
                         constraints=hier.top_constraints(period=900.0))
@@ -188,8 +189,24 @@ class TestProcessFanout:
             outcome = HierScheduler(hier, [scen], jobs=2,
                                     executor="process").signoff()
         assert outcome.ok
-        assert len(outcome.worker_pids) >= 2
-        assert os.getpid() not in outcome.worker_pids
+        pids = {s.pid for s in tracer.spans() if s.name == "etm_extract"}
+        assert len(pids) >= 2
+        assert os.getpid() not in pids
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_tracing_does_not_change_the_table(self, lib, executor):
+        hier = hierarchical_soc(seed=2, n_blocks=2)
+        scen = Scenario(name="tt", library=lib,
+                        constraints=hier.top_constraints(period=900.0))
+
+        def table(tracer):
+            with obs_tracing.use(tracer):
+                return HierScheduler(hier, [scen], jobs=2,
+                                     executor=executor).signoff().render()
+
+        tracer = obs_tracing.Tracer()
+        assert table(tracer) == table(None)
+        assert any(s.name == "etm_extract" for s in tracer.spans())
 
     def test_exactly_one_sta_run_span_per_extraction(self, lib):
         """Acceptance: no second full STA hides inside an extraction."""

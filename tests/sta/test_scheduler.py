@@ -1,5 +1,7 @@
 """Tests for the parallel signoff scheduler and its result cache."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from repro.errors import TimingError
 from repro.liberty import LibraryCondition, make_library
 from repro.netlist.generators import random_logic
 from repro.netlist.transforms import upsize
+from repro.runtime.supervisor import RetryPolicy
 from repro.sta import STA, Constraints, IncrementalTimer
 from repro.sta.mcmm import Scenario, ScenarioSet
 from repro.sta.scheduler import (
@@ -15,7 +18,6 @@ from repro.sta.scheduler import (
     constraints_fingerprint,
     design_fingerprint,
     library_fingerprint,
-    parallel_map,
     scenario_fingerprint,
 )
 
@@ -102,13 +104,60 @@ class TestDeterminism:
                                    executor="thread").signoff(design)
             assert slack_text(out) == ref
 
-    def test_parallel_map_preserves_order(self):
-        assert parallel_map(lambda x: x * x, range(10), jobs=4) == \
-            [x * x for x in range(10)]
+    def test_abandoned_attempt_shares_the_design(self, lib, lib_ss,
+                                                 monkeypatch):
+        """A hang longer than the timeout abandons tt_typ's first
+        attempt. It wakes and analyzes the shared design while its retry
+        and the other scenarios run. No worker copies the design, yet
+        every analysis -- the abandoned one included -- equals a
+        fault-free serial run."""
+        from repro.sta.scheduler import ScenarioStatus
+        from repro.testing.faults import Fault, FaultInjector, FaultPlan
 
-    def test_parallel_map_rejects_unknown_executor(self):
-        with pytest.raises(TimingError):
-            parallel_map(lambda x: x, [1], jobs=2, executor="rayon")
+        c = Constraints.single_clock(520.0)
+        c.input_delays = {f"in{i}": 60.0 for i in range(16)}
+        scenarios = make_scenarios(lib, lib_ss) + [
+            Scenario("tt_cw", lib, c, beol_corner_name="cw"),
+            Scenario("ss_typ", lib_ss, c, temp_c=125.0),
+        ]
+        design = random_logic(n_inputs=16, n_outputs=16, n_gates=1500,
+                              n_levels=10, seed=9)
+        serial = SignoffScheduler(scenarios, jobs=1).signoff(design)
+        expected = {name: report.render_full()
+                    for name, report in serial.reports.items()}
+
+        analyses = []  # (scenario, rendered report or raised error)
+        original = Scenario.run
+
+        def recording(scenario, d, stack):
+            try:
+                report = original(scenario, d, stack)
+            except Exception as exc:
+                analyses.append((scenario.name, repr(exc)))
+                raise
+            analyses.append((scenario.name, report.render_full()))
+            return report
+
+        monkeypatch.setattr(Scenario, "run", recording)
+        injector = FaultInjector(FaultPlan.of(
+            Fault("hang", task="tt_typ", seconds=2.7)
+        ))
+        out = SignoffScheduler(
+            scenarios, jobs=3, executor="thread",
+            policy=RetryPolicy(retries=2, timeout_s=2.5, backoff_s=0.0),
+            fault_injector=injector,
+        ).signoff(design)
+        assert out.records["tt_typ"].status is ScenarioStatus.RETRIED
+        assert [name for name, report in out.reports.items()
+                if report.render_full() != expected[name]] == []
+
+        deadline = time.monotonic() + 30.0
+        while [n for n, _ in analyses].count("tt_typ") < 2 \
+                and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert [n for n, _ in analyses].count("tt_typ") == 2
+        assert [name for name, text in analyses
+                if text != expected[name]] == []
 
 
 class TestCache:
@@ -377,6 +426,32 @@ class TestMonteCarloBatching:
         # Different master seed -> different samples.
         c = evaluate_samples(draw, 16, seed=4, jobs=1)
         assert a != c
+
+    def test_evaluate_samples_preserves_order(self):
+        from repro.spice.montecarlo import evaluate_samples
+
+        assert evaluate_samples(lambda i, rng: i * i, 10, jobs=4) == \
+            [i * i for i in range(10)]
+
+    def test_evaluate_samples_rejects_unknown_executor(self):
+        from repro.spice.montecarlo import evaluate_samples
+
+        with pytest.raises(TimingError):
+            evaluate_samples(lambda i, rng: i, 1, jobs=2, executor="rayon")
+
+    def test_evaluate_samples_raises_first_failed_sample(self):
+        from repro.errors import TaskDegradedError
+        from repro.spice.montecarlo import evaluate_samples
+
+        def fails_from_three(index, rng):
+            if index >= 3:
+                raise ValueError(f"sample {index} diverged")
+            return index
+
+        with pytest.raises(TaskDegradedError,
+                           match="sample 3 diverged") as info:
+            evaluate_samples(fails_from_three, 6, jobs=2)
+        assert info.value.context["task"] == "sample-3"
 
 
 class TestScenarioTimerPool:
