@@ -31,7 +31,8 @@ from repro.netlist.generators import random_logic
 from repro.netlist.transforms import swap_vt, upsize
 from repro.parasitics.statistical import StatisticalAnnotator
 from repro.sta import STA, Constraints, IncrementalTimer
-from repro.variation.ssta import run_ssta
+from repro.sta.algebra import VariationModel
+from repro.sta.ssta import run_ssta
 
 
 def test_sec40_ssta_and_statistical_spef(benchmark, lib, record_table):
@@ -44,32 +45,36 @@ def test_sec40_ssta_and_statistical_spef(benchmark, lib, record_table):
         for inst in design.instances.values():
             if inst.location is not None:
                 inst.location = (inst.location[0] * 25.0, inst.location[1])
-        sta = STA(design, lib, Constraints.single_clock(2500.0))
+        constraints = Constraints.single_clock(2500.0)
+        sta = STA(design, lib, constraints)
         sta.report = sta.run()
         annotator = StatisticalAnnotator(sta.parasitics, default_stack())
-        base = run_ssta(sta, global_sigma_frac=0.3)
-        wired = run_ssta(sta, global_sigma_frac=0.3,
-                         wire_annotator=annotator)
+        # One die-wide source carrying 30% of each arc's sigma.
+        model = VariationModel(n_sources=1, rho=0.3)
+        base = run_ssta(design, lib, constraints, model=model)
+        wired = run_ssta(design, lib, constraints, model=model,
+                         wires=annotator)
         return sta, base, wired
 
     sta, base, wired = once(benchmark, run)
-    ep = min(base.endpoint_slacks,
-             key=lambda e: base.endpoint_slacks[e].mean)
+    worst = min(base.endpoints, key=lambda e: e.mean)
+    ep = worst.endpoint
+    wired_ep = next(e for e in wired.endpoints if e.endpoint == ep)
     lines = [
-        "block-based SSTA (Clark max, LVF sigmas):",
+        "block-based SSTA (canonical forms, Clark max, LVF sigmas):",
         f"  worst endpoint {ep}:",
         f"    deterministic slack  "
         f"{sta.report.slack_of(ep, 'setup'):8.2f} ps",
-        f"    SSTA mean / sigma    {base.endpoint_slacks[ep].mean:8.2f} / "
-        f"{base.endpoint_slacks[ep].sigma:.2f} ps",
-        f"    slack at 3 sigma     {base.slack_at_sigma(ep, 3.0):8.2f} ps",
+        f"    SSTA mean / sigma    {worst.mean:8.2f} / "
+        f"{worst.sigma:.2f} ps",
+        f"    slack at 3 sigma     {worst.mean - 3.0 * worst.sigma:8.2f} ps",
         "",
         "statistical SPEF revival (wire sigmas from SADP patterning):",
-        f"    FEOL-only sigma      {base.endpoint_slacks[ep].sigma:8.3f} ps",
-        f"    +BEOL wire sigma     {wired.endpoint_slacks[ep].sigma:8.3f} ps",
+        f"    FEOL-only sigma      {worst.sigma:8.3f} ps",
+        f"    +BEOL wire sigma     {wired_ep.sigma:8.3f} ps",
     ]
     record_table("sec40_ssta_sspef", "\n".join(lines))
-    assert wired.endpoint_slacks[ep].sigma >= base.endpoint_slacks[ep].sigma
+    assert wired_ep.sigma >= worst.sigma
 
 
 def test_sec40_monitor_adaptivity(benchmark, lib, record_table):

@@ -8,25 +8,22 @@ curve that rises as the clock is pushed past the worst-case period —
 errors are rare at first — and collapses once the replay penalty
 dominates; the optimum sits beyond the conventional signoff point.
 
-We compute the curve from SSTA slack distributions: each endpoint's
-slack shifts linearly with the period, its failure probability comes
-from the Gaussian slack model (global component integrated out, as in
-:mod:`repro.core.yieldmodel`), and per-cycle error probability combines
-endpoints weighted by their activity.
+We compute the curve from the sampled slack matrices of a canonical
+SSTA run (:class:`repro.sta.ssta.SstaRun`): every setup slack shifts
+linearly with the period, each sampled die counts its failing endpoints,
+and the per-cycle error probability averages over dies the chance that
+at least one failing endpoint is exercised that cycle.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from repro.errors import SignoffError
-from repro.variation.ssta import SstaResult
-
-_GLOBAL_GRID = np.linspace(-4.0, 4.0, 61)
+from repro.sta.ssta import SstaRun
 
 
 @dataclass(frozen=True)
@@ -47,31 +44,22 @@ class ResilienceConfig:
 
 
 def cycle_error_probability(
-    ssta: SstaResult,
+    run: SstaRun,
     period_shift: float,
     config: ResilienceConfig = ResilienceConfig(),
 ) -> float:
     """P(at least one timing error in a cycle) at T = T0 + period_shift.
 
-    Slack distributions shift by ``period_shift`` (negative = faster
-    clock); endpoint failures are independent given the global component.
+    Setup slacks shift by ``period_shift`` (negative = faster clock). On
+    a die where k setup endpoints fail, a cycle is error-free when none
+    of them is exercised: ``(1 - activity) ** k``. The result is one
+    minus that, averaged over the sampled dies.
     """
-    if not ssta.endpoint_slacks:
-        raise SignoffError("SSTA result has no endpoints")
-    z = _GLOBAL_GRID
-    weights = np.exp(-0.5 * z * z)
-    weights /= weights.sum()
-    log_ok = np.zeros_like(z)
-    for dist in ssta.endpoint_slacks.values():
-        mean = dist.mean + period_shift - z * dist.sigma_global
-        local = max(dist.sigma_local, 1e-12)
-        p_fail = 0.5 * (1.0 - np.array(
-            [math.erf(m / (local * math.sqrt(2.0))) for m in mean]
-        ))
-        log_ok += np.log(np.clip(
-            1.0 - config.endpoint_activity * p_fail, 1e-300, 1.0
-        ))
-    return float(min(max(1.0 - (weights * np.exp(log_ok)).sum(), 0.0), 1.0))
+    if not run.endpoints:
+        raise SignoffError("SSTA run has no setup endpoints")
+    failing = (run.setup_slacks + period_shift < 0.0).sum(axis=1)
+    ok = (1.0 - config.endpoint_activity) ** failing
+    return float(1.0 - ok.mean())
 
 
 @dataclass
@@ -89,7 +77,7 @@ class OperatingPoint:
 
 
 def resilience_curve(
-    ssta: SstaResult,
+    run: SstaRun,
     base_period: float,
     periods: Sequence[float],
     config: ResilienceConfig = ResilienceConfig(),
@@ -101,7 +89,7 @@ def resilience_curve(
     """
     out: List[OperatingPoint] = []
     for period in periods:
-        p_err = cycle_error_probability(ssta, period - base_period, config)
+        p_err = cycle_error_probability(run, period - base_period, config)
         replay_factor = 1.0 + p_err * config.replay_cycles
         throughput = (1e3 / period) / replay_factor
         energy = (1.0 + config.detector_energy_overhead) * replay_factor
@@ -124,7 +112,7 @@ def best_operating_point(curve: Sequence[OperatingPoint]) -> OperatingPoint:
 
 
 def worst_case_period(
-    ssta: SstaResult,
+    run: SstaRun,
     base_period: float,
     n_sigma: float = 3.0,
     flat_margin: float = 0.0,
@@ -135,15 +123,12 @@ def worst_case_period(
     :mod:`repro.core.margins`). Resilient designs shed most of that
     flat margin: an un-modeled slow event becomes a detected error
     instead of a silent failure."""
-    shift_needed = max(
-        n_sigma * dist.sigma - dist.mean
-        for dist in ssta.endpoint_slacks.values()
-    )
+    shift_needed = max(n_sigma * e.sigma - e.mean for e in run.endpoints)
     return base_period + max(shift_needed, 0.0) + flat_margin
 
 
 def resilience_gain(
-    ssta: SstaResult,
+    run: SstaRun,
     base_period: float,
     config: ResilienceConfig = ResilienceConfig(),
     flat_margin: float = 30.0,
@@ -153,9 +138,9 @@ def resilience_gain(
     conventional worst-case signoff point (which carries ``flat_margin``
     ps of unmodelled-effects margin that resilience converts to detected
     errors)."""
-    t_wc = worst_case_period(ssta, base_period, flat_margin=flat_margin)
+    t_wc = worst_case_period(run, base_period, flat_margin=flat_margin)
     periods = np.linspace(0.8 * t_wc, 1.02 * t_wc, n_candidates)
-    curve = resilience_curve(ssta, base_period, periods, config)
+    curve = resilience_curve(run, base_period, periods, config)
     best = best_operating_point(curve)
     conventional = (1e3 / t_wc)
     return {

@@ -8,64 +8,50 @@ violations (as opposed to yield losses). Unfortunately, sigmas are
 unstable..."
 
 This module computes what the new goal post *would* be: parametric
-timing yield from SSTA slack distributions (independent local sigmas,
-with the fully-correlated global component integrated out by Gauss-
-Hermite-style quadrature), plus the sensitivity of that yield to sigma
-error — the instability that keeps the old goal post alive.
+timing yield read off the sampled slack matrices of a canonical SSTA run
+(:class:`repro.sta.ssta.SstaRun`) — the fraction of sampled dies on
+which every check passes, with the cross-endpoint correlation the shared
+variation sources carry — plus the sensitivity of that yield to sigma
+error, the instability that keeps the old goal post alive.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
 from repro.errors import SignoffError
-from repro.netlist.design import PinRef
-from repro.variation.ssta import SstaResult
-
-#: Quadrature grid for the global (die-to-die) component.
-_GLOBAL_GRID = np.linspace(-4.0, 4.0, 81)
-
-
-def endpoint_pass_probability(ssta: SstaResult, endpoint: PinRef,
-                              sigma_scale: float = 1.0) -> float:
-    """P(slack >= 0) for one endpoint, global component integrated out."""
-    dist = ssta.endpoint_slacks[endpoint]
-    return float(
-        _conditional_pass(dist, _GLOBAL_GRID, sigma_scale).mean()
-    )
+from repro.sta.algebra import VariationModel
+from repro.sta.analysis import STA
+from repro.sta.ssta import SstaRun, run_ssta
+from repro.variation.derate import flat_ocv_derates
 
 
-def design_yield(ssta: SstaResult, sigma_scale: float = 1.0) -> float:
+def _scaled(slacks: np.ndarray, endpoints, sigma_scale: float) -> np.ndarray:
+    """Slack samples with each deviation from its canonical mean scaled."""
+    if sigma_scale == 1.0:
+        return slacks
+    means = np.array([e.mean for e in endpoints])
+    return means + sigma_scale * (slacks - means)
+
+
+def design_yield(run: SstaRun, sigma_scale: float = 1.0) -> float:
     """Parametric timing yield of the whole design.
 
-    Endpoint failures are independent given the global excursion
-    (their local sigmas are independent), so the yield is the
-    expectation over the global component of the product of conditional
-    pass probabilities. ``sigma_scale`` scales every sigma — the knob
-    for the "sigmas are unstable" sensitivity study.
+    The fraction of ``run``'s sampled dies on which every setup, output
+    and hold check passes. ``sigma_scale`` scales each endpoint sample's
+    deviation from its canonical mean — every sigma at once, the knob
+    for the "sigmas are unstable" sensitivity study. At 1.0 this is
+    ``run.timing_yield()``.
     """
-    if not ssta.endpoint_slacks:
-        raise SignoffError("SSTA result has no endpoints")
-    z = _GLOBAL_GRID
-    weights = np.exp(-0.5 * z * z)
-    weights /= weights.sum()
-    log_pass = np.zeros_like(z)
-    for dist in ssta.endpoint_slacks.values():
-        conditional = _conditional_pass(dist, z, sigma_scale)
-        log_pass += np.log(np.clip(conditional, 1e-300, 1.0))
-    return float((weights * np.exp(log_pass)).sum())
-
-
-def _conditional_pass(dist, z: np.ndarray, sigma_scale: float) -> np.ndarray:
-    """P(slack >= 0 | global = z), vectorized over the grid."""
-    mean = dist.mean - z * dist.sigma_global * sigma_scale
-    local = max(dist.sigma_local * sigma_scale, 1e-12)
-    x = mean / (local * math.sqrt(2.0))
-    return 0.5 * (1.0 + np.array([math.erf(v) for v in x]))
+    if not run.endpoints and not run.hold_endpoints:
+        raise SignoffError("SSTA run has no endpoints")
+    setup = _scaled(run.setup_slacks, run.endpoints, sigma_scale)
+    hold = _scaled(run.hold_slacks, run.hold_endpoints, sigma_scale)
+    ok = (setup >= 0.0).all(axis=1) & (hold >= 0.0).all(axis=1)
+    return float(ok.mean())
 
 
 @dataclass
@@ -100,13 +86,12 @@ def goalpost_sweep(
 
     ``make_constraints(period)`` must return a constraint set. The old
     goal post runs deterministic STA with a flat OCV derate; the new one
-    runs SSTA and reads the design yield, bracketing it with +/-20%
-    sigma error (the instability that keeps the old post standing).
+    runs canonical SSTA and reads the design yield, bracketing it with
+    +/-20% sigma error (the instability that keeps the old post
+    standing). ``global_sigma_frac`` of each arc's sigma rides on one
+    die-wide source; the rest is private to the arc.
     """
-    from repro.sta.analysis import STA
-    from repro.variation.derate import flat_ocv_derates
-    from repro.variation.ssta import run_ssta
-
+    model = VariationModel(n_sources=1, rho=global_sigma_frac)
     out: List[GoalpostComparison] = []
     for period in periods:
         constraints = make_constraints(period)
@@ -114,16 +99,14 @@ def goalpost_sweep(
                          derates=flat_ocv_derates(derate_percent))
         corner_wns = corner_sta.run().wns("setup")
 
-        stat_sta = STA(design, library, constraints)
-        stat_sta.report = stat_sta.run()
-        ssta = run_ssta(stat_sta, global_sigma_frac=global_sigma_frac)
+        run = run_ssta(design, library, constraints, model=model)
         out.append(
             GoalpostComparison(
                 period=period,
                 corner_wns=corner_wns,
-                yield_estimate=design_yield(ssta),
-                yield_low_sigma=design_yield(ssta, sigma_scale=1.2),
-                yield_high_sigma=design_yield(ssta, sigma_scale=0.8),
+                yield_estimate=design_yield(run),
+                yield_low_sigma=design_yield(run, sigma_scale=1.2),
+                yield_high_sigma=design_yield(run, sigma_scale=0.8),
             )
         )
     return out

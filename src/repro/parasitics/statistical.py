@@ -6,8 +6,10 @@ and Section 4 predicts that "statistical SPEF or similar will be revived"
 once BEOL becomes a first-class citizen. This module is that revival for
 our stack: each net's extracted parasitics are annotated with relative
 R and C sigmas derived from its routing layer's patterning class (through
-the SADP CD-sigma model), and wire-delay sigmas are computed for
-consumption by SSTA (:mod:`repro.variation.ssta`).
+the SADP CD-sigma model). An annotator is the wire source of the
+canonical SSTA engine (``run_ssta(..., wires=annotator)`` in
+:mod:`repro.sta.ssta`): each net edge's wire delay then carries its
+nominal delay times the layer's relative wire-delay sigma.
 """
 
 from __future__ import annotations

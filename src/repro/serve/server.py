@@ -92,6 +92,29 @@ SHARED_SESSION_ID = "shared"
 _CLIENT_FAULTS = (ServeError, NetlistError, LibraryError)
 
 
+def _number(params: Dict[str, Any], name: str, default, lo, hi,
+            integer: bool = False):
+    """A numeric request parameter, read before any work is done.
+
+    Absent or ``null`` gives ``default``. Otherwise the value must be a
+    JSON number (an integer when ``integer``; booleans are not numbers)
+    inside ``[lo, hi]``, or the request is the client's fault:
+    ProtocolError, never a crash the supervisor would retry.
+    """
+    value = params.get(name)
+    if value is None:
+        return default
+    kinds = int if integer else (int, float)
+    if isinstance(value, bool) or not isinstance(value, kinds) \
+            or not lo <= value <= hi:
+        kind = "an integer" if integer else "a number"
+        raise ProtocolError(
+            f"{name} must be {kind} in [{lo}, {hi}], got {value!r}",
+            param=name,
+        )
+    return value if integer else float(value)
+
+
 class _ClientFault:
     """Box smuggling a client-fault exception out of a supervised attempt
     as a *result*, so the supervisor never counts it as a crash."""
@@ -488,9 +511,9 @@ class TimingDaemon:
         """
         retries = 0 if op == "apply_eco" else self.config.retries
         timeout_s = self.config.timeout_s
-        deadline_s = params.get("deadline_s")
+        deadline_s = _number(params, "deadline_s", None, 0.0, 86400.0)
         if deadline_s is not None:
-            remaining = float(deadline_s) - (time.monotonic() - enqueued_s)
+            remaining = deadline_s - (time.monotonic() - enqueued_s)
             if remaining <= 0:
                 raise DeadlineExceededError(
                     "deadline expired while queued",
@@ -797,7 +820,7 @@ class TimingDaemon:
         mode = params.get("mode", "setup")
         if mode not in ("setup", "hold"):
             raise ProtocolError(f"bad mode {mode!r}")
-        count = int(params.get("count", 3))
+        count = _number(params, "count", 3, 1, 10000, integer=True)
         scenario = self._scenario(name)
         self._scenario_report(session, scenario, attempt)
         timer = session.timers.get(name)
@@ -837,7 +860,7 @@ class TimingDaemon:
         mode = params.get("mode", "setup")
         if mode not in ("setup", "hold"):
             raise ProtocolError(f"bad mode {mode!r}")
-        bins = int(params.get("bins", 8))
+        bins = _number(params, "bins", 8, 1, 1000, integer=True)
         report, source = self._scenario_report(
             session, self._scenario(name), attempt
         )
@@ -875,17 +898,17 @@ class TimingDaemon:
                 f"scenario {scenario.name!r} has no LVF sigma tables; "
                 "ssta is unavailable on it", scenario=scenario.name,
             )
-        samples = int(params.get("samples", 1000))
-        if not 16 <= samples <= 20000:
-            raise ProtocolError(
-                f"samples must be in [16, 20000], got {samples}"
-            )
-        top = int(params.get("top", 5))
-        model_params: Dict[str, Any] = {}
-        if "rho" in params:
-            model_params["rho"] = float(params["rho"])
-        if "seed" in params:
-            model_params["seed"] = int(params["seed"])
+        samples = _number(params, "samples", 1000, 16, 20000, integer=True)
+        top = _number(params, "top", 5, 0, 10000, integer=True)
+        model = VariationModel(
+            rho=_number(params, "rho", VariationModel.rho, 0.0, 1.0),
+            seed=_number(params, "seed", VariationModel.seed, 0, 2 ** 32 - 1,
+                         integer=True),
+        )
+        target = _number(params, "target_yield", None, 0.0, 1.0)
+        tune_range = _number(params, "tune_range", 40.0, 0.0, 1000.0)
+        max_buffers = _number(params, "max_buffers", None, 0, 100000,
+                              integer=True)
         if self.fault_injector is not None:
             self.fault_injector.fire(f"ssta:{scenario.name}", attempt)
 
@@ -897,7 +920,7 @@ class TimingDaemon:
                               samples=samples):
             run = run_ssta(
                 design, scenario.library, scenario.constraints,
-                model=VariationModel(**model_params),
+                model=model,
                 n_samples=samples,
                 stack=self.stack, beol_corner=corner,
                 temp_c=scenario.temp_c, derates=scenario.derates,
@@ -921,15 +944,12 @@ class TimingDaemon:
                     for e in ranked[:top]
                 ],
             }
-            target = params.get("target_yield")
             if target is not None:
-                max_buffers = params.get("max_buffers")
                 tuned = tune_to_yield(
                     run,
-                    target_yield=float(target),
-                    tune_range=float(params.get("tune_range", 40.0)),
-                    max_buffers=(int(max_buffers)
-                                 if max_buffers is not None else None),
+                    target_yield=target,
+                    tune_range=tune_range,
+                    max_buffers=max_buffers,
                 )
                 result["tuning"] = {
                     "target_yield": tuned.target_yield,

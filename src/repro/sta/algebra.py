@@ -3,9 +3,9 @@
 Every quantity the engine propagates — arrival, required time, slack —
 used to be a bare ``float``. This module abstracts it behind a small
 :class:`TimingAlgebra` protocol (``add / sub / max / min / le /
-to_scalar`` plus the delay-lifting hook :meth:`TimingAlgebra.arc_delay`)
-so alternate value domains plug into the *same* propagation, required-
-time, PBA and CPPR code:
+to_scalar`` plus the delay-lifting hooks :meth:`TimingAlgebra.arc_delay`
+and :meth:`TimingAlgebra.wire_delay`) so alternate value domains plug
+into the *same* propagation, required-time, PBA and CPPR code:
 
 - :class:`ScalarAlgebra` — the drop-in default. Every operation is the
   native float operation with identical expression grouping, so the
@@ -15,7 +15,9 @@ time, PBA and CPPR code:
   ``a0 + sum_i(a_i * dX_i) + a_r * dR_a`` (Visweswariah-style) built
   from the LVF/POCV sigma tables (:mod:`repro.liberty.lvf`), with
   Clark's moment-matched statistical max/min. This is the SSTA engine
-  (:mod:`repro.sta.ssta`).
+  (:mod:`repro.sta.ssta`). Given a wire source
+  (:class:`repro.parasitics.statistical.StatisticalAnnotator`), it also
+  carries statistical interconnect: BEOL wire-delay sigmas.
 - :class:`MonteCarloAlgebra` — values are numpy sample *vectors*
   (:class:`Samples`): one pass through the reference propagation
   evaluates every Monte-Carlo sample at once, the same batching trick
@@ -45,6 +47,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
+
+from repro.errors import TimingError
 
 INF = math.inf
 
@@ -87,7 +91,9 @@ class VariationModel:
     knobs; an arc's source is chosen by a stable hash of its cell
     footprint, so all instances of a cell type shift together) and a
     private part ``sqrt(1 - rho^2) * sigma`` riding on one of
-    ``n_private`` hashed per-arc slots.
+    ``n_private`` hashed per-arc slots. Statistical wire delay, when an
+    algebra has a wire source, is wholly private: one hashed slot per
+    (net, sink).
 
     Both decomposition terms are *explicit* coordinates of the canonical
     form's sensitivity vector (length ``n_sources + n_private``), so
@@ -106,6 +112,15 @@ class VariationModel:
     rho: float = 0.45
     seed: int = 20260808
 
+    def __post_init__(self):
+        if not 0.0 <= self.rho <= 1.0:
+            raise TimingError(f"rho must be in [0, 1], got {self.rho}")
+        if self.n_sources < 1 or self.n_private < 1:
+            raise TimingError(
+                "n_sources and n_private must be >= 1, got "
+                f"{self.n_sources} and {self.n_private}"
+            )
+
     @property
     def dim(self) -> int:
         """Total sensitivity dimensions (global + private slots)."""
@@ -114,16 +129,17 @@ class VariationModel:
     def source_of(self, cell_name: str) -> int:
         return zlib.crc32(cell_name.encode()) % self.n_sources
 
-    def slot_of(self, instance: str, related: str, pin: str,
-                out_dir: str) -> int:
-        """Private-variation slot of an arc (offset past the globals).
+    def slot_of(self, *key: str) -> int:
+        """Private-variation slot of an arc or wire (offset past the
+        globals), hashed from its identity: ``(instance, related pin,
+        pin, out_dir)`` for an arc, ``(net, sink)`` for a wire.
 
         Shared across early/late modes: one die draws one process point
         per arc, it is only the sensitivity (sigma) that differs by
         mode.
         """
-        key = f"{instance}|{related}|{pin}|{out_dir}"
-        return self.n_sources + zlib.crc32(key.encode()) % self.n_private
+        return self.n_sources + \
+            zlib.crc32("|".join(key).encode()) % self.n_private
 
 
 # ---------------------------------------------------------------------- #
@@ -173,6 +189,15 @@ class TimingAlgebra:
 
         ``value`` is the deterministic table delay; statistical algebras
         attach the arc's LVF sigma here. The default is the identity.
+        """
+        return value
+
+    def wire_delay(self, edge, value: float):
+        """Lift a net edge's nominal wire delay into an algebra value.
+
+        Called once per net edge by the forward propagation pass;
+        statistical algebras with a wire source attach the net's BEOL
+        wire-delay sigma here. The default is the identity.
         """
         return value
 
@@ -326,9 +351,13 @@ class CanonicalAlgebra(TimingAlgebra):
     name = "canonical"
     statistical = True
 
-    def __init__(self, design, model: Optional[VariationModel] = None):
+    def __init__(self, design, model: Optional[VariationModel] = None,
+                 wires=None):
         self.design = design
         self.model = model or VariationModel()
+        #: Statistical wire source (``net_sigmas(net).wire_delay_rel``),
+        #: or None for nominal wires.
+        self.wires = wires
         self._zeros = np.zeros(self.model.dim)
 
     # -- lifting ------------------------------------------------------- #
@@ -353,6 +382,14 @@ class CanonicalAlgebra(TimingAlgebra):
         slot = model.slot_of(edge.instance, edge.arc.related_pin,
                              edge.arc.pin, out_dir)
         coeffs[slot] += math.sqrt(max(1.0 - model.rho ** 2, 0.0)) * sigma
+        return CanonicalForm(value, coeffs)
+
+    def wire_delay(self, edge, value: float):
+        sigma = _wire_sigma(self.wires, edge, value)
+        if not sigma:
+            return value
+        coeffs = np.zeros(self.model.dim)
+        coeffs[self.model.slot_of(edge.net_name, str(edge.sink))] = sigma
         return CanonicalForm(value, coeffs)
 
     # -- merge --------------------------------------------------------- #
@@ -396,6 +433,14 @@ class CanonicalAlgebra(TimingAlgebra):
         if math.isinf(fb):
             return a if fb > 0 else b
         return -self.max(-self._form(a), -self._form(b))
+
+
+def _wire_sigma(wires, edge, value: float) -> float:
+    """Absolute wire-delay sigma of a net edge: the nominal delay times
+    its layer's relative sigma (0 without a wire source)."""
+    if wires is None:
+        return 0.0
+    return value * wires.net_sigmas(edge.net_name).wire_delay_rel
 
 
 # ---------------------------------------------------------------------- #
@@ -499,10 +544,11 @@ class MonteCarloAlgebra(TimingAlgebra):
     statistical = True
 
     def __init__(self, design, model: Optional[VariationModel] = None,
-                 n_samples: int = 2000):
+                 n_samples: int = 2000, wires=None):
         self.design = design
         self.model = model or VariationModel()
         self.n_samples = n_samples
+        self.wires = wires
         rng = np.random.default_rng(self.model.seed)
         #: (N, dim) draws of every model dimension (globals + slots).
         self.z = rng.standard_normal((n_samples, self.model.dim))
@@ -521,6 +567,13 @@ class MonteCarloAlgebra(TimingAlgebra):
         z = (rho * self.z[:, source]
              + math.sqrt(max(1.0 - rho * rho, 0.0)) * self.z[:, slot])
         return Samples(value + sigma * z)
+
+    def wire_delay(self, edge, value: float):
+        sigma = _wire_sigma(self.wires, edge, value)
+        if not sigma:
+            return value
+        slot = self.model.slot_of(edge.net_name, str(edge.sink))
+        return Samples(value + sigma * self.z[:, slot])
 
     def max(self, a, b):
         fa, fb = float(a), float(b)

@@ -13,8 +13,8 @@ path-specific slews.
 Arrival values live in a pluggable timing algebra
 (:mod:`repro.sta.algebra`): plain floats by default, canonical forms or
 Monte-Carlo sample vectors for statistical analysis. Merging (max/min)
-and delay lifting go through the algebra; unset sentinels are float
-``+/-inf`` in every mode.
+and delay lifting (cell arcs and, once per net edge, wires) go through
+the algebra; unset sentinels are float ``+/-inf`` in every mode.
 """
 
 from __future__ import annotations
@@ -204,7 +204,7 @@ def _propagate_net_edge(graph, parasitics, result, edge: NetEdge,
                         si_delta, alg: TimingAlgebra = SCALAR) -> None:
     para = parasitics.extract(edge.net_name)
     pin_cap = _sink_pin_cap(graph, edge.sink)
-    base_delay = para.wire_delay(edge.sink, pin_cap)
+    base_delay = alg.wire_delay(edge, para.wire_delay(edge.sink, pin_cap))
     degrade = para.slew_degradation(edge.sink, pin_cap)
     delta = si_delta.get(edge.net_name, 0.0)
     for direction in DIRECTIONS:

@@ -29,11 +29,18 @@ so yield-with-tuning is computed on the same sampled slack matrices.
 Everything here is gated by a Monte-Carlo harness
 (:func:`monte_carlo_ssta`) that runs the same engine under the
 sample-vector algebra on the same LVF tables and variation model.
+
+Statistical interconnect rides along: pass a wire source
+(:class:`repro.parasitics.statistical.StatisticalAnnotator`) as
+``wires`` and every net edge's wire delay carries its BEOL sigma on a
+private (net, sink) slot, in both the canonical run and its Monte-Carlo
+oracle. Parametric yield and resilience read the sampled slack matrices
+of an :class:`SstaRun` (:mod:`repro.core.yieldmodel`,
+:mod:`repro.core.resilience`).
 """
 
 from __future__ import annotations
 
-import math
 import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -46,17 +53,13 @@ from repro.sta.algebra import (
     CanonicalAlgebra,
     CanonicalForm,
     MonteCarloAlgebra,
-    Samples,
     VariationModel,
+    _Phi,
     scalar_of,
     sigma_of,
 )
 from repro.sta.analysis import STA
 from repro.sta.reports import EndpointResult
-
-
-def _phi_cdf(x: float) -> float:
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 
 
 # ---------------------------------------------------------------------- #
@@ -161,7 +164,7 @@ class SstaRun:
         mean, sigma = scalar_of(slack), sigma_of(slack)
         if sigma <= 0.0:
             return 1.0 if mean < 0.0 else 0.0
-        return _phi_cdf(-mean / sigma)
+        return _Phi(-mean / sigma)
 
     def _criticalities(self) -> np.ndarray:
         if self.setup_slacks.shape[1] == 0:
@@ -243,9 +246,15 @@ def run_ssta(
     constraints,
     model: Optional[VariationModel] = None,
     n_samples: int = 4000,
+    wires=None,
     **sta_kwargs,
 ) -> SstaRun:
-    """Run the reference engine under canonical forms and sample it."""
+    """Run the reference engine under canonical forms and sample it.
+
+    ``wires`` is an optional statistical wire source
+    (:class:`repro.parasitics.statistical.StatisticalAnnotator`); without
+    it wire delays are nominal.
+    """
     if not has_lvf(library):
         raise TimingError(
             "SSTA needs LVF sigma tables on every delay arc "
@@ -253,7 +262,8 @@ def run_ssta(
         )
     model = model or VariationModel()
     sta = STA(design, library, constraints,
-              algebra=CanonicalAlgebra(design, model), **sta_kwargs)
+              algebra=CanonicalAlgebra(design, model, wires=wires),
+              **sta_kwargs)
     sta.run()
     return SstaRun(sta, model, n_samples=n_samples)
 
@@ -278,13 +288,15 @@ def monte_carlo_ssta(
     constraints,
     model: Optional[VariationModel] = None,
     n_samples: int = 2000,
+    wires=None,
     **sta_kwargs,
 ) -> McResult:
-    """The independent oracle: the same engine, same LVF tables and same
-    variation model, but propagating concrete sample vectors — exact
-    per-sample max/min instead of Clark's moment matching."""
+    """The independent oracle: the same engine, same LVF tables, same
+    variation model and same wire source, but propagating concrete
+    sample vectors — exact per-sample max/min instead of Clark's moment
+    matching."""
     model = model or VariationModel()
-    alg = MonteCarloAlgebra(design, model, n_samples=n_samples)
+    alg = MonteCarloAlgebra(design, model, n_samples=n_samples, wires=wires)
     sta = STA(design, library, constraints, algebra=alg, **sta_kwargs)
     report = sta.run()
 

@@ -11,6 +11,10 @@ plus the Monte Carlo machinery that serves as ground truth:
   asymmetry);
 - :mod:`repro.variation.accuracy` — the accuracy-ladder experiment:
   per-model predicted 3-sigma path-delay deltas vs Monte Carlo truth.
+
+Statistical STA itself (block-based canonical forms with Clark's max,
+and its Monte-Carlo oracle) runs the timing engine under a statistical
+algebra: see :mod:`repro.sta.ssta`.
 """
 
 from repro.variation.derate import flat_ocv_derates, aocv_derates
@@ -20,7 +24,6 @@ from repro.variation.montecarlo import (
     spice_chain_mc,
 )
 from repro.variation.accuracy import ladder_comparison, predicted_path_delta
-from repro.variation.ssta import GaussianArrival, SstaResult, run_ssta
 
 __all__ = [
     "flat_ocv_derates",
@@ -30,7 +33,4 @@ __all__ = [
     "spice_chain_mc",
     "ladder_comparison",
     "predicted_path_delta",
-    "GaussianArrival",
-    "SstaResult",
-    "run_ssta",
 ]

@@ -1,5 +1,7 @@
 """Tests for resilient-design evaluation ([22])."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -14,17 +16,17 @@ from repro.core.resilience import (
 from repro.errors import SignoffError
 from repro.liberty import make_library
 from repro.netlist.generators import random_logic
-from repro.sta import STA, Constraints
-from repro.variation.ssta import GaussianArrival, SstaResult, run_ssta
+from repro.sta import Constraints
+from repro.sta.algebra import VariationModel
+from repro.sta.ssta import run_ssta
 
 
 @pytest.fixture(scope="module")
 def ssta():
     lib = make_library()
     d = random_logic(n_gates=150, n_levels=8, seed=11)
-    sta = STA(d, lib, Constraints.single_clock(520.0))
-    sta.report = sta.run()
-    return run_ssta(sta, global_sigma_frac=0.3)
+    return run_ssta(d, lib, Constraints.single_clock(520.0),
+                    model=VariationModel(n_sources=1, rho=0.3))
 
 
 BASE = 520.0
@@ -32,8 +34,10 @@ BASE = 520.0
 
 class TestErrorProbability:
     def test_empty_rejected(self):
+        empty = SimpleNamespace(setup_slacks=np.zeros((16, 0)),
+                                endpoints=[])
         with pytest.raises(SignoffError):
-            cycle_error_probability(SstaResult(), 0.0)
+            cycle_error_probability(empty, 0.0)
 
     def test_monotone_in_period(self, ssta):
         """A faster clock (negative shift) makes errors more likely."""
@@ -46,6 +50,20 @@ class TestErrorProbability:
         for shift in (-100.0, 0.0, 100.0):
             p = cycle_error_probability(ssta, shift)
             assert 0.0 <= p <= 1.0
+
+    def test_counts_failing_endpoints_per_die(self):
+        """A die with k failing endpoints errs unless none of the k is
+        exercised: P = 1 - (1 - activity)^k, averaged over dies."""
+        slacks = np.array([[5.0, 5.0, 5.0],     # k = 0
+                           [-1.0, -2.0, 5.0]])  # k = 2
+        run = SimpleNamespace(setup_slacks=slacks, endpoints=[None] * 3)
+        config = ResilienceConfig(endpoint_activity=0.1)
+        expected = 0.5 * (1.0 - 0.9 ** 2)
+        assert cycle_error_probability(run, 0.0, config) == \
+            pytest.approx(expected)
+        # A 1.5 ps slower clock rescues the -1 ps endpoint: k = 1.
+        assert cycle_error_probability(run, 1.5, config) == \
+            pytest.approx(0.5 * 0.1)
 
     def test_activity_scales_probability(self, ssta):
         quiet = cycle_error_probability(

@@ -213,6 +213,47 @@ class TestSessions:
         assert info.value.code == "E_NO_SESSION"
 
 
+class TestNumericParams:
+    @pytest.mark.parametrize("op,name,value", [
+        ("paths", "count", "x"),
+        ("paths", "count", -1),
+        ("paths", "count", 2.5),
+        ("paths", "count", True),
+        ("histogram", "bins", 0),
+        ("histogram", "bins", "x"),
+        ("ssta", "samples", "many"),
+        ("ssta", "top", "x"),
+        ("ssta", "rho", 5.0),
+        ("ssta", "rho", -3.0),
+        ("ssta", "rho", "x"),
+        ("ssta", "seed", "x"),
+        ("ssta", "seed", -1),
+        ("ssta", "target_yield", "x"),
+        ("ssta", "target_yield", 1.5),
+        ("ssta", "tune_range", "x"),
+        ("ssta", "max_buffers", "x"),
+        ("timing", "deadline_s", "soon"),
+        ("timing", "deadline_s", -1.0),
+    ])
+    def test_malformed_number_is_bad_request(self, daemon_factory, op, name,
+                                             value):
+        """A malformed number is the client's fault: E_BAD_REQUEST before
+        any work, no retry, no quarantine, and the session (or the
+        shared context) keeps answering."""
+        daemon = daemon_factory()
+        params = {"scenario": "tt_typ", "samples": 64, name: value}
+        with client_for(daemon) as client:
+            sid = client.request("open_session")["session"]
+            for session in (sid, None):
+                with pytest.raises(ServeError) as info:
+                    client.request(op, params, session=session)
+                assert info.value.code == "E_BAD_REQUEST"
+                assert not info.value.retryable
+                assert name in str(info.value)
+                assert daemon.quarantines == 0
+                assert client.request("timing", session=session)["scenarios"]
+
+
 class TestBackpressure:
     def test_expired_deadline_rejected_before_work(self, daemon_factory):
         daemon = daemon_factory()

@@ -5,9 +5,11 @@ clock-buffer tuning on the PST benchmark block."""
 import numpy as np
 import pytest
 
+from repro.beol.stack import default_stack
 from repro.errors import TimingError
 from repro.liberty import make_library
 from repro.netlist.generators import random_logic
+from repro.parasitics.statistical import StatisticalAnnotator
 from repro.sta import STA, Constraints
 from repro.sta.algebra import CanonicalAlgebra, VariationModel
 from repro.sta.ssta import (
@@ -39,13 +41,28 @@ class TestMcValidation:
     """Acceptance gate: canonical endpoint moments within 5% of a
     >=2000-sample Monte-Carlo on randomized LVF designs."""
 
-    @pytest.mark.parametrize("seed", [3, 11])
-    def test_moments_within_five_percent(self, seed):
+    @pytest.mark.parametrize("seed,wired", [
+        pytest.param(3, False, id="3"),
+        pytest.param(11, False, id="11"),
+        pytest.param(3, True, id="3-wires"),
+    ])
+    def test_moments_within_five_percent(self, seed, wired):
         design, lib, cons = make_setup(seed)
+        wires = None
+        if wired:
+            # Stretch the placement so wires carry real delay and their
+            # BEOL sigma is a visible share of each endpoint's sigma.
+            for inst in design.instances.values():
+                if inst.location is not None:
+                    inst.location = (inst.location[0] * 25.0,
+                                     inst.location[1])
+            wires = StatisticalAnnotator(STA(design, lib, cons).parasitics,
+                                         default_stack())
         model = VariationModel()
-        run = run_ssta(design, lib, cons, model=model, n_samples=512)
+        run = run_ssta(design, lib, cons, model=model, n_samples=512,
+                       wires=wires)
         mc = monte_carlo_ssta(design, lib, cons, model=model,
-                              n_samples=2000)
+                              n_samples=2000, wires=wires)
         assert len(mc.setup_moments) == len(run.endpoints)
         for ep in run.endpoints:
             mc_mean, mc_sigma = mc.setup_moments[str(ep.endpoint)]

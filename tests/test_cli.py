@@ -353,6 +353,19 @@ class TestSstaSignoff:
         assert rc == 1
         assert "target missed" in out
 
+    @pytest.mark.parametrize("rho", ["1.5", "-0.2"])
+    def test_rho_outside_unit_interval_exits_four(self, rho, capsys):
+        rc = main([
+            "signoff", "--ssta", "--ssta-rho", rho, "--ssta-samples", "64",
+            "--gates", "40",
+        ])
+        captured = capsys.readouterr()
+        assert rc == 4
+        assert captured.err.startswith("error: TimingError:")
+        assert "rho" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "Traceback" not in captured.err
+
 
 class TestCampaign:
     @staticmethod

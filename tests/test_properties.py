@@ -3,6 +3,7 @@ invariant list — the ones not already covered inside module suites."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from repro.aging.bti import BtiModel
 from repro.liberty import make_library
 from repro.netlist.generators import random_logic
 from repro.sta import STA, Constraints
+from repro.sta.algebra import CanonicalAlgebra, CanonicalForm, VariationModel
 from repro.sta.pba import gba_vs_pba
 from repro.beol.corners import conventional_corners, tightened_corner
 from repro.beol.stack import default_stack
@@ -18,7 +20,6 @@ from repro.core.margins import MarginStackup
 from repro.cts.useful_skew import SkewStage, schedule_useful_skew
 from repro.flops.model import default_flop_model
 from repro.flops.recovery import Stage, recover_margin
-from repro.variation.ssta import GaussianArrival, clark_max
 
 
 _PROPERTY_LIB = None
@@ -176,38 +177,49 @@ class TestBtiProperties:
         assert shift <= bti.delta_vt(total_time, v_hi) + 1e-12
 
 
-class TestClarkMaxProperties:
-    arrivals = st.builds(
-        GaussianArrival,
+def _canonical_arrivals(slot: int):
+    """Canonical forms with a shared die-wide coordinate (0) and a
+    private one (``slot``); a Clark-residual term rides on top."""
+    def build(mean, s_global, s_local, s_indep):
+        coeffs = np.zeros(3)
+        coeffs[0] = s_global
+        coeffs[slot] = s_local
+        return CanonicalForm(mean, coeffs, s_indep)
+
+    return st.builds(
+        build,
         mean=st.floats(-100.0, 100.0),
-        sigma_local=st.floats(0.01, 20.0),
-        sigma_global=st.floats(0.0, 10.0),
+        s_global=st.floats(-10.0, 10.0),
+        s_local=st.floats(0.01, 20.0),
+        s_indep=st.floats(0.0, 5.0),
     )
 
-    @given(a=arrivals, b=arrivals)
+
+class TestClarkMaxProperties:
+    """Clark's moment-matched max of the canonical SSTA engine."""
+
+    alg = CanonicalAlgebra(None, VariationModel(n_sources=1, n_private=2))
+
+    @given(a=_canonical_arrivals(1), b=_canonical_arrivals(2))
     @settings(max_examples=50, deadline=None)
     def test_symmetry(self, a, b):
-        m1 = clark_max(a, b)
-        m2 = clark_max(b, a)
+        m1 = self.alg.max(a, b)
+        m2 = self.alg.max(b, a)
         assert m1.mean == pytest.approx(m2.mean, rel=1e-6, abs=1e-6)
-        assert m1.sigma_local == pytest.approx(m2.sigma_local, rel=1e-5,
-                                               abs=1e-6)
+        assert m1.sigma() == pytest.approx(m2.sigma(), rel=1e-5, abs=1e-6)
 
-    @given(a=arrivals, b=arrivals)
+    @given(a=_canonical_arrivals(1), b=_canonical_arrivals(2))
     @settings(max_examples=50, deadline=None)
     def test_sigma_bounded_by_inputs(self, a, b):
-        m = clark_max(a, b)
-        assert m.sigma_local <= max(a.sigma_local, b.sigma_local) + 1e-6
+        m = self.alg.max(a, b)
+        assert m.sigma() <= max(a.sigma(), b.sigma()) + 1e-6
 
-    @given(a=arrivals, shift=st.floats(0.0, 50.0))
+    @given(a=_canonical_arrivals(1), shift=st.floats(0.0, 50.0))
     @settings(max_examples=40, deadline=None)
     def test_translation_invariance(self, a, shift):
-        b = GaussianArrival(a.mean - 10.0, sigma_local=2.0)
-        m0 = clark_max(a, b)
-        m1 = clark_max(
-            GaussianArrival(a.mean + shift, a.sigma_local, a.sigma_global),
-            GaussianArrival(b.mean + shift, b.sigma_local, b.sigma_global),
-        )
+        b = CanonicalForm(a.mean - 10.0, np.array([0.0, 0.0, 2.0]))
+        m0 = self.alg.max(a, b)
+        m1 = self.alg.max(a + shift, b + shift)
         assert m1.mean - m0.mean == pytest.approx(shift, abs=1e-6)
 
 

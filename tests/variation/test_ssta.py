@@ -1,4 +1,6 @@
-"""Tests for block-based SSTA and statistical interconnect."""
+"""SSTA under process and interconnect variation, on the canonical
+engine: Clark's max over canonical forms, endpoint slack distributions
+against path Monte Carlo, and statistical interconnect (SSPEF)."""
 
 import math
 
@@ -19,8 +21,24 @@ from repro.parasitics.statistical import (
     write_statistical_spef,
 )
 from repro.sta import STA, Constraints
+from repro.sta.algebra import CanonicalAlgebra, CanonicalForm, VariationModel
+from repro.sta.ssta import SstaRun, run_ssta
 from repro.variation.montecarlo import mc_path_delays
-from repro.variation.ssta import GaussianArrival, clark_max, run_ssta
+
+#: One die-wide source carrying 30% of each arc's sigma, the rest private.
+ONE_SOURCE = VariationModel(n_sources=1, rho=0.3)
+
+#: Canonical max over a die-wide coordinate (0) and two private ones.
+ALG = CanonicalAlgebra(None, VariationModel(n_sources=1, n_private=2))
+
+
+def form(mean, sigma_local=0.0, sigma_global=0.0, slot=1):
+    """A canonical arrival: ``sigma_local`` on private ``slot``,
+    ``sigma_global`` on the shared die-wide coordinate."""
+    coeffs = np.zeros(ALG.model.dim)
+    coeffs[0] = sigma_global
+    coeffs[slot] = sigma_local
+    return CanonicalForm(mean, coeffs)
 
 
 @pytest.fixture(scope="module")
@@ -32,44 +50,29 @@ def sta():
     return sta
 
 
+def ssta_of(sta, model=ONE_SOURCE, wires=None):
+    return run_ssta(sta.design, sta.library, sta.constraints, model=model,
+                    wires=wires)
+
+
 @pytest.fixture(scope="module")
 def ssta_result(sta):
-    return run_ssta(sta, global_sigma_frac=0.3)
+    return ssta_of(sta)
 
 
-class TestGaussianArrival:
-    def test_sigma_combines_components(self):
-        a = GaussianArrival(10.0, sigma_local=3.0, sigma_global=4.0)
-        assert a.sigma == pytest.approx(5.0)
-
-    def test_shifted_rss_local(self):
-        a = GaussianArrival(10.0, sigma_local=3.0)
-        b = a.shifted(5.0, 4.0)
-        assert b.mean == pytest.approx(15.0)
-        assert b.sigma_local == pytest.approx(5.0)
-
-    def test_shifted_global_adds_linearly(self):
-        a = GaussianArrival(0.0, sigma_global=2.0)
-        b = a.shifted(1.0, 0.0, delay_sigma_global=3.0)
-        assert b.sigma_global == pytest.approx(5.0)
-
-    def test_quantile(self):
-        a = GaussianArrival(10.0, sigma_local=2.0)
-        assert a.quantile(3.0) == pytest.approx(16.0)
+def by_name(run):
+    return {str(e.endpoint): e for e in run.endpoints}
 
 
 class TestClarkMax:
     def test_dominant_input_wins(self):
-        a = GaussianArrival(100.0, sigma_local=1.0)
-        b = GaussianArrival(0.0, sigma_local=1.0)
-        m = clark_max(a, b)
+        m = ALG.max(form(100.0, 1.0, slot=1), form(0.0, 1.0, slot=2))
         assert m.mean == pytest.approx(100.0, abs=0.01)
-        assert m.sigma_local == pytest.approx(1.0, abs=0.01)
+        assert m.sigma() == pytest.approx(1.0, abs=0.01)
 
     def test_equal_inputs_mean_exceeds_both(self):
         """E[max of two equal iid Gaussians] = mu + sigma/sqrt(pi)."""
-        a = GaussianArrival(10.0, sigma_local=2.0)
-        m = clark_max(a, GaussianArrival(10.0, sigma_local=2.0))
+        m = ALG.max(form(10.0, 2.0, slot=1), form(10.0, 2.0, slot=2))
         assert m.mean == pytest.approx(10.0 + 2.0 / math.sqrt(math.pi),
                                        rel=1e-3)
 
@@ -79,8 +82,7 @@ class TestClarkMax:
     )
     @settings(max_examples=60, deadline=None)
     def test_max_mean_at_least_both_means(self, mu_a, mu_b, s_a, s_b):
-        m = clark_max(GaussianArrival(mu_a, sigma_local=s_a),
-                      GaussianArrival(mu_b, sigma_local=s_b))
+        m = ALG.max(form(mu_a, s_a, slot=1), form(mu_b, s_b, slot=2))
         assert m.mean >= max(mu_a, mu_b) - 1e-9
 
     def test_matches_monte_carlo(self):
@@ -88,64 +90,101 @@ class TestClarkMax:
         xa = rng.normal(10.0, 3.0, 200000)
         xb = rng.normal(12.0, 2.0, 200000)
         mc = np.maximum(xa, xb)
-        m = clark_max(GaussianArrival(10.0, sigma_local=3.0),
-                      GaussianArrival(12.0, sigma_local=2.0))
+        m = ALG.max(form(10.0, 3.0, slot=1), form(12.0, 2.0, slot=2))
         assert m.mean == pytest.approx(float(mc.mean()), rel=0.01)
-        assert m.sigma_local == pytest.approx(float(mc.std()), rel=0.03)
+        assert m.sigma() == pytest.approx(float(mc.std()), rel=0.03)
+
+
+class TestVariationModel:
+    @pytest.mark.parametrize("fields", [
+        {"rho": 1.5}, {"rho": -0.1}, {"rho": float("nan")},
+        {"n_sources": 0}, {"n_private": 0},
+    ])
+    def test_out_of_range_decomposition_rejected(self, fields):
+        with pytest.raises(TimingError):
+            VariationModel(**fields)
+
+    @pytest.mark.parametrize("rho", [0.0, 1.0])
+    def test_unit_interval_ends_accepted(self, rho):
+        assert VariationModel(rho=rho).rho == rho
 
 
 class TestRunSsta:
     def test_requires_deterministic_run(self):
+        """Sampling reads slacks from a completed engine run."""
         lib = make_library()
         d = random_logic(n_gates=60, n_levels=4, seed=2)
-        fresh = STA(d, lib, Constraints.single_clock(500.0))
-        with pytest.raises(TimingError):
-            run_ssta(fresh)
+        fresh = STA(d, lib, Constraints.single_clock(500.0),
+                    algebra=CanonicalAlgebra(d, ONE_SOURCE))
+        with pytest.raises(TimingError, match="run"):
+            SstaRun(fresh, ONE_SOURCE)
 
     def test_endpoint_sigmas_positive(self, ssta_result):
-        assert ssta_result.endpoint_slacks
-        for dist in ssta_result.endpoint_slacks.values():
-            assert dist.sigma > 0.0
+        """Every endpoint whose worst path crosses a cell varies; a flop
+        fed straight from an input port is exactly deterministic."""
+        varying = 0
+        for e, result in zip(ssta_result.endpoints,
+                             ssta_result.setup_results):
+            stages = ssta_result.sta.worst_path(result).stage_count
+            assert (e.sigma > 0.0) == (stages > 0), str(e.endpoint)
+            varying += stages > 0
+        assert varying
 
     def test_statistical_mean_at_most_det_arrival_plus_bias(self, sta,
                                                             ssta_result):
         """SSTA slack mean tracks deterministic slack within the Clark
-        max bias (statistical max >= max of means). Port-fed endpoints
-        (no cell stages, zero sigma) are excluded: their slacks differ
-        only by the rise/fall constraint convention."""
-        for e in sta.report.endpoints("setup"):
-            if e.kind != "setup":
+        max bias (statistical max >= max of means). Zero-sigma
+        endpoints are skipped: there both engines agree exactly."""
+        det = {str(e.endpoint): e.slack
+               for e in sta.report.endpoints("setup")}
+        checked = 0
+        for e in ssta_result.endpoints:
+            if e.sigma < 0.1:
                 continue
-            dist = ssta_result.endpoint_slacks[e.endpoint]
-            if dist.sigma < 0.1:
-                continue
-            assert dist.mean <= e.slack + 1e-6
+            assert e.mean <= det[str(e.endpoint)] + 1e-6
+            checked += 1
+        assert checked
 
     def test_sigma_matches_path_mc(self, sta, ssta_result):
         """On the worst endpoint the SSTA sigma must match Monte Carlo
-        over the dominant path (single dominant path => Clark is exact)."""
+        over the dominant path (single dominant path => Clark is exact).
+
+        The engine lifts late arrivals with the late LVF sigma; the path
+        MC draws fast excursions with the smaller early sigma, which
+        never moves a setup check. So the comparison is with the path's
+        slow-side spread: its 84th percentile minus its median.
+        """
         e = [x for x in sta.report.endpoints("setup") if x.kind == "setup"][0]
-        dist = ssta_result.endpoint_slacks[e.endpoint]
+        dist = by_name(ssta_result)[str(e.endpoint)]
         path = sta.worst_path(e)
         samples = mc_path_delays(sta, path, n_samples=4000, seed=1,
-                                 global_sigma_frac=0.3)
-        assert dist.sigma == pytest.approx(float(samples.std()), rel=0.15)
+                                 global_sigma_frac=ONE_SOURCE.rho)
+        slow_side = np.quantile(samples, 0.8413) - np.median(samples)
+        assert dist.sigma == pytest.approx(float(slow_side), rel=0.15)
 
     def test_yield_aware_slack_below_mean(self, ssta_result):
-        ep = next(iter(ssta_result.endpoint_slacks))
-        assert ssta_result.slack_at_sigma(ep, 3.0) < \
-            ssta_result.endpoint_slacks[ep].mean
+        """The slack read at a 3-sigma confidence tail of an endpoint's
+        sampled distribution sits below its mean."""
+        i = max(range(len(ssta_result.endpoints)),
+                key=lambda k: ssta_result.endpoints[k].sigma)
+        tail = np.quantile(ssta_result.setup_slacks[:, i], 0.00135)
+        assert tail < ssta_result.endpoints[i].mean
 
     def test_wns_at_sigma_monotone_in_confidence(self, ssta_result):
-        assert ssta_result.wns_at_sigma(3.0) < ssta_result.wns_at_sigma(1.0)
+        """The chip's worst slack, read at a deeper confidence tail of
+        its sampled distribution, is lower."""
+        worst = ssta_result.setup_slacks.min(axis=1)
+        assert np.quantile(worst, 0.00135) < np.quantile(worst, 0.1587)
 
     def test_global_fraction_shifts_decomposition(self, sta):
-        local = run_ssta(sta, global_sigma_frac=0.0)
-        mixed = run_ssta(sta, global_sigma_frac=0.8)
-        ep = max(local.endpoint_slacks,
-                 key=lambda e: local.endpoint_slacks[e].sigma)
-        assert local.endpoint_slacks[ep].sigma_global == 0.0
-        assert mixed.endpoint_slacks[ep].sigma_global > 0.0
+        local = ssta_of(sta, VariationModel(n_sources=1, rho=0.0))
+        mixed = ssta_of(sta, VariationModel(n_sources=1, rho=0.8))
+        ep = max(local.setup_results, key=lambda e: e.slack.sigma()
+                 if isinstance(e.slack, CanonicalForm) else 0.0)
+        twin = next(e for e in mixed.setup_results
+                    if e.endpoint == ep.endpoint)
+        assert ep.slack.coeffs[0] == 0.0
+        assert abs(twin.slack.coeffs[0]) > 0.0
 
 
 class TestStatisticalInterconnect:
@@ -164,13 +203,13 @@ class TestStatisticalInterconnect:
         assert sigmas
         assert all(v >= 0.0 for v in sigmas.values())
 
-    def test_ssta_with_wires_widens_sigma(self, sta, annotator):
-        base = run_ssta(sta, global_sigma_frac=0.3)
-        wired = run_ssta(sta, global_sigma_frac=0.3,
-                         wire_annotator=annotator)
-        ep = next(iter(base.endpoint_slacks))
-        assert wired.endpoint_slacks[ep].sigma >= \
-            base.endpoint_slacks[ep].sigma
+    def test_ssta_with_wires_widens_sigma(self, sta, ssta_result, annotator):
+        wired = by_name(ssta_of(sta, wires=annotator))
+        widened = 0
+        for e in ssta_result.endpoints:
+            assert wired[str(e.endpoint)].sigma >= e.sigma
+            widened += wired[str(e.endpoint)].sigma > e.sigma
+        assert widened
 
     def test_sspef_round_trip(self, sta, annotator):
         text = write_statistical_spef("rand", annotator)
