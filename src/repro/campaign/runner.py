@@ -62,6 +62,7 @@ from repro.runtime.supervisor import (
     SupervisedTask,
     TaskStatus,
 )
+from repro.sta.kernel import ENGINES
 
 #: Every level a configuration can carry, with its default. Factors
 #: outside this vocabulary are rejected up front (a typo'd factor name
@@ -117,8 +118,11 @@ def validate_spec(spec: CampaignSpec) -> None:
                     )
         if factor.name == "engine":
             for level in factor.levels:
-                if level not in ("reference", "vector"):
-                    raise CampaignError(f"unknown engine {level!r}")
+                if level not in ENGINES:
+                    raise CampaignError(
+                        f"unknown engine {level!r}",
+                        engines=",".join(ENGINES),
+                    )
 
 
 def resolve_levels(levels: Dict[str, Any]) -> Dict[str, Any]:

@@ -149,7 +149,10 @@ def _obs_session(args):
             if tracer is not None:
                 stack.enter_context(tracing.use(tracer))
             if registry is not None:
-                stack.enter_context(metrics.use(registry))
+                # The process default, so that supervised worker threads
+                # (a vector signoff's mode tasks) record into it too.
+                stack.callback(metrics.set_default_registry,
+                               metrics.set_default_registry(registry))
             yield
     finally:
         if tracer is not None:

@@ -46,7 +46,7 @@ from repro.runtime.supervisor import RetryPolicy
 from repro.sta.analysis import STA
 from repro.sta.constraints import Constraints
 from repro.sta.incremental import TIMER_STATE_VERSION
-from repro.sta.kernel import ENGINES
+from repro.sta.kernel import ENGINES, run_on_engine
 from repro.sta.propagation import Derates
 from repro.sta.reports import TimingReport
 from repro.sta.scheduler import ScenarioTimerPool
@@ -369,7 +369,7 @@ class ClosureEngine:
                     if self.fault_injector is not None:
                         self.fault_injector.fire(label, attempt)
                     sta = self._build_sta()
-                    sta.report = self.timer_pool._full_run(sta, label)
+                    run_on_engine(sta, self.timer_pool.engine, label)
                 except Exception as exc:  # noqa: BLE001 - quarantined below
                     last_error = exc
                     if attempt < self.policy.max_attempts:

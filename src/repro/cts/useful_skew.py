@@ -93,7 +93,10 @@ def schedule_useful_skew(
             baseline_wns=baseline,
             predicted_wns=baseline,
         )
-    offsets = {f: float(res.x[index[f]]) for f in flops}
+    # HiGHS honours bounds only to its feasibility tolerance: clamp
+    # onto the declared range.
+    offsets = {f: min(max(float(res.x[index[f]]), 0.0), max_adjust)
+               for f in flops}
     predicted = min(
         st.setup_slack + offsets[st.capture] - offsets[st.launch]
         for st in stages

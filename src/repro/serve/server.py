@@ -833,11 +833,6 @@ class TimingDaemon:
             )
             timer = session.timers.get(name)
         sta = timer.sta
-        if sta.prop is None:
-            # Vector-engine runs report without backpointers; the
-            # reference walk fills them in for path reconstruction.
-            sta.report = sta.run()
-            sta.report.scenario = name
         paths = []
         for endpoint in sta.report.endpoints(mode)[:count]:
             path = sta.worst_path(endpoint)

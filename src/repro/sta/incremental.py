@@ -35,7 +35,7 @@ Guarantees the closure loop leans on:
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.errors import TimingError
 from repro.netlist.design import PinRef
@@ -44,7 +44,7 @@ from repro.obs import tracing as obs_tracing
 from repro.liberty.cell import PinDirection
 from repro.sta.analysis import STA
 from repro.sta.graph import CellEdge, NetEdge, TimingGraph
-from repro.sta.kernel import ENGINES, KernelCompileError, kernel_full_run
+from repro.sta.kernel import ENGINES, run_on_engine
 from repro.sta.propagation import (
     DIRECTIONS,
     _propagate_cell_edge,
@@ -59,7 +59,12 @@ TIMER_STATE_VERSION = 1
 
 
 class IncrementalTimer:
-    """Wraps a run STA and applies cone-limited updates after cell edits."""
+    """Wraps a run STA and applies cone-limited updates after cell edits.
+
+    ``engine`` is the engine :meth:`full_update` re-runs on. Cone updates
+    always use the reference propagation over ``sta.prop``, which either
+    engine leaves materialized, so the timer holds no compiled kernel.
+    """
 
     def __init__(self, sta: STA, engine: str = "reference"):
         if sta.prop is None:
@@ -73,15 +78,6 @@ class IncrementalTimer:
         self.full_updates = 0
         self.incremental_updates = 0
         self.last_cone_size = 0
-        #: The :class:`~repro.sta.kernel.CompiledKernel` backing the last
-        #: full update under the vector engine, if any. Any design edit
-        #: invalidates it — cone updates then run through the reference
-        #: propagation (the scalar path *is* the fallback engine) until
-        #: the next full update recompiles.
-        self._kernel = None
-        self.kernel_builds = 0
-        self.kernel_invalidations = 0
-        self.kernel_fallbacks = 0
         #: Signoff result caches (:class:`repro.sta.scheduler.
         #: ScenarioResultCache`) notified whenever this timer edits the
         #: design, so cached per-scenario reports of the pre-ECO netlist
@@ -132,11 +128,7 @@ class IncrementalTimer:
 
             # Phase 2 (infallible): the edit is absorbable — invalidate
             # registered caches for this design and apply the rebinds.
-            # A swapped cell also invalidates any compiled kernel (its
-            # stacked tables bake in the old cell); the cone update
-            # below runs through the reference propagation regardless.
             self._invalidate_caches()
-            self._drop_kernel()
             for plan in plans:
                 self._apply_instance_edges(plan)
 
@@ -191,48 +183,20 @@ class IncrementalTimer:
         Unlike the cone update this tolerates *topology* changes: the
         design is re-bound, cached parasitics are dropped and the timing
         graph is rebuilt before re-propagating, so buffer insertions,
-        NDR promotions and constraint edits are all absorbed.
+        NDR promotions and constraint edits are all absorbed. The re-run
+        goes through :func:`~repro.sta.kernel.run_on_engine` on the
+        timer's engine; no compiled kernel outlives it.
         """
         sta = self.sta
         with obs_tracing.span("full_update", design=sta.design.name):
             self._invalidate_caches()
-            self._drop_kernel()
             self.full_updates += 1
             self.last_cone_size = 0
             obs_metrics.inc("sta.retime.full")
             sta.design.bind(sta.library)
             sta.parasitics.invalidate()
             sta.graph = TimingGraph(sta.design, sta.library, sta.constraints)
-            if self.engine == "vector":
-                try:
-                    report, kernel = kernel_full_run(sta)
-                    self._kernel = kernel
-                    self.kernel_builds += 1
-                except KernelCompileError as exc:
-                    self.kernel_fallbacks += 1
-                    obs_metrics.inc("kernel.fallbacks")
-                    # The span (not just the counter) encloses the
-                    # reference re-run, and `trace summarize` names the
-                    # degraded scenario from it.
-                    with obs_tracing.span(
-                        "kernel_fallback",
-                        scenario=sta.library.name,
-                        design=sta.design.name,
-                        error=str(exc),
-                    ):
-                        report = sta.run()
-            else:
-                report = sta.run()
-            sta.report = report
-            return report
-
-    def _drop_kernel(self) -> None:
-        """Invalidate the compiled kernel after a design edit."""
-        if self._kernel is not None:
-            self._kernel.invalidate()
-            self._kernel = None
-            self.kernel_invalidations += 1
-            obs_metrics.inc("kernel.invalidations")
+            return run_on_engine(sta, self.engine, sta.library.name)
 
     # ------------------------------------------------------------------ #
 

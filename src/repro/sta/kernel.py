@@ -190,6 +190,31 @@ def kernel_full_run(sta: STA) -> Tuple[TimingReport, "CompiledKernel"]:
     return report, kernel
 
 
+def run_on_engine(sta: STA, engine: str, name: str,
+                  fault_injector=None) -> TimingReport:
+    """Run one constructed STA on ``engine`` and return its report.
+
+    Leaves ``sta.prop`` / ``sta.report`` as :meth:`STA.run` would. The
+    vector engine first fires ``fault_injector``'s planned kernel fault
+    for ``name``; a compile refusal, real or injected, counts one
+    ``kernel.fallbacks`` and re-runs on the reference engine inside a
+    ``kernel_fallback`` span that names ``name`` and the error.
+    """
+    if engine != "vector":
+        return sta.run()
+    try:
+        if fault_injector is not None:
+            fault_injector.fire_kernel(name)
+        report, _ = kernel_full_run(sta)
+    except KernelCompileError as exc:
+        obs_metrics.inc("kernel.fallbacks")
+        with obs_tracing.span("kernel_fallback", scenario=name,
+                              error=str(exc)):
+            return sta.run()
+    sta.report = report
+    return report
+
+
 # ---------------------------------------------------------------------- #
 # array-backed STA compatibility layer
 
@@ -348,7 +373,6 @@ class CompiledKernel:
         self.constraints = constraints
         self.corners = corners
         self.stack = stack or default_stack()
-        self.valid = True
         self._ran = False
         #: Vectorized batch steps executed by :meth:`run` (one per
         #: non-empty level x edge-kind) — the denominator of the
@@ -799,14 +823,8 @@ class CompiledKernel:
     # ------------------------------------------------------------------ #
     # the batched forward pass
 
-    def invalidate(self) -> None:
-        """Mark the compiled arrays stale (topology/table edit)."""
-        self.valid = False
-
     def run(self) -> None:
         """Propagate every corner simultaneously."""
-        if not self.valid:
-            raise TimingError("kernel was invalidated; recompile first")
         n_corners = len(self.corners)
         with obs_tracing.span(
             "kernel_batch", design=self.design.name, corners=n_corners,

@@ -58,7 +58,7 @@ from repro.sta.kernel import (
     CornerSpec,
     KernelCompileError,
     compile_kernel,
-    kernel_full_run,
+    run_on_engine,
 )
 from repro.sta.reports import TimingReport
 
@@ -516,6 +516,11 @@ class ScenarioTimerPool:
     STA state bound to the shared design, and their ECO retimes edit
     that design. Warm-starting and fan-out are different trades; the
     closure loop wants the former.
+
+    ``engine`` times first builds and full retimes through
+    :func:`~repro.sta.kernel.run_on_engine` (a vector compile refusal
+    re-runs on the reference engine); cone-limited retimes always use
+    the reference propagation.
     """
 
     def __init__(self, engine: str = "reference", fault_injector=None):
@@ -527,8 +532,8 @@ class ScenarioTimerPool:
             )
         self.engine = engine
         #: Optional :class:`repro.testing.faults.FaultInjector` whose
-        #: kernel-scoped faults fire at vector-kernel compile time, so
-        #: chaos plans exercise the reference fallback on warm pools.
+        #: kernel-scoped faults fire at a first build's vector compile,
+        #: so chaos plans exercise the reference fallback on warm pools.
         self.fault_injector = fault_injector
         self._timers: Dict[str, "IncrementalTimer"] = {}
         self._caches: List[ScenarioResultCache] = []
@@ -603,7 +608,8 @@ class ScenarioTimerPool:
             with obs_tracing.span("sta_build", scenario=name):
                 sta = build()
                 if sta.prop is None or sta.report is None:
-                    sta.report = self._full_run(sta, name)
+                    run_on_engine(sta, self.engine, name,
+                                  self.fault_injector)
             self.adopt(name, sta)
             self.builds += 1
             return sta.report
@@ -620,22 +626,6 @@ class ScenarioTimerPool:
             return timer.full_update()
         self.incremental_retimes += 1
         return report
-
-    def _full_run(self, sta, name: str) -> TimingReport:
-        """Run a fresh STA through the pool's engine (vector falls back
-        to the reference run when the scenario will not compile)."""
-        if self.engine == "vector":
-            try:
-                if self.fault_injector is not None:
-                    self.fault_injector.fire_kernel(name)
-                report, _ = kernel_full_run(sta)
-                return report
-            except KernelCompileError as exc:
-                obs_metrics.inc("kernel.fallbacks")
-                with obs_tracing.span("kernel_fallback", scenario=name,
-                                      error=str(exc)):
-                    return sta.run()
-        return sta.run()
 
 
 # ---------------------------------------------------------------------- #
@@ -661,6 +651,39 @@ def _run_scenario_job(job, attempt: int = 1):
             injector.fire(scenario.name, attempt)
         with obs_tracing.span("sta_run", scenario=scenario.name):
             return scenario.run(design, stack)
+
+
+def _run_mode_job(job, attempt: int = 1):
+    """Time one mode's scenarios as corner lanes of one compiled kernel.
+
+    Module-level so process pools can pickle it. Fires every lane's
+    planned faults at the mode's attempt number first. Returns the
+    lanes' reports in lane order, or *returns* the
+    :class:`~repro.sta.kernel.KernelCompileError` of a refused compile:
+    a refusal is deterministic, so retrying it would only repeat it.
+    """
+    scenarios, design, stack, injector = job
+    try:
+        if injector is not None:
+            for scenario in scenarios:
+                injector.fire(scenario.name, attempt)
+                injector.fire_kernel(scenario.name, attempt)
+        kernel = compile_kernel(
+            design, scenarios[0].constraints,
+            [CornerSpec.from_scenario(s, stack) for s in scenarios],
+            stack=stack,
+        )
+        kernel.run()
+    except KernelCompileError as exc:
+        return exc
+    reports = []
+    for ci, scenario in enumerate(scenarios):
+        with obs_tracing.span("scenario", scenario=scenario.name,
+                              source="vector", attempt=attempt):
+            report = kernel.report(ci)
+            report.scenario = scenario.name
+            reports.append(report)
+    return reports
 
 
 # ---------------------------------------------------------------------- #
@@ -809,13 +832,15 @@ class SignoffScheduler:
             firing planned faults inside workers (chaos testing).
         allow_fallback: permit executor downgrade on pool death.
         engine: "reference" walks the object graph per scenario (the
-            oracle); "vector" batches all scenarios of a mode through
-            one compiled :class:`~repro.sta.kernel.CompiledKernel`.
-            Plans with worker-scoped faults (crash/hang/pool death)
-            force the reference path — the supervisor owns
-            retry/quarantine semantics there — while kernel-scoped
-            faults ride the vector path to chaos-test the
-            compile-failure fallback ladder.
+            oracle); "vector" first times each mode (the scenarios that
+            share a constraint set) as one supervised task that batches
+            them through one compiled
+            :class:`~repro.sta.kernel.CompiledKernel`. A mode gets one
+            attempt, bounded by ``policy.timeout_s``; the scenarios of a
+            mode that does not come home (compile refused, crashed,
+            hung, lost with its pool) rejoin the per-scenario reference
+            fan-out, where retry and quarantine work per scenario as on
+            the reference engine.
     """
 
     def __init__(
@@ -958,66 +983,69 @@ class SignoffScheduler:
                     )
                     obs_metrics.inc("runtime.journal.io_errors")
 
+        executor = self.executor
+        fallbacks: List[str] = []
         ref_todo = list(todo)
-        # Worker-scoped faults (crash/hang/pool death) need the
-        # per-scenario fan-out where the supervisor owns retry and
-        # quarantine; kernel-scoped faults deliberately ride the vector
-        # path so chaos plans exercise the compile-failure fallback.
-        vector_chaos_ok = (
-            self.fault_injector is None
-            or not self.fault_injector.plan.worker_faults()
-        )
-        if self.engine == "vector" and vector_chaos_ok and todo:
-            # Batch whole modes: scenarios sharing a constraint set
-            # become corner lanes of one compiled kernel. A mode that
-            # fails to compile (e.g. libraries with incongruent arc
-            # sets) falls back to the reference fan-out below.
-            ref_todo = []
-            modes: "OrderedDict[str, list]" = OrderedDict()
+        if self.engine == "vector" and todo:
+            modes: Dict[str, list] = {}
             for scenario, fp in todo:
                 modes.setdefault(
                     constraints_fingerprint(scenario.constraints), []
                 ).append((scenario, fp))
-            with obs_tracing.span("vector_signoff", modes=len(modes),
+            groups = list(modes.values())
+
+            def mode_event(message: str) -> None:
+                # A failed mode is not quarantined: its scenarios rejoin
+                # the fan-out below, under the fallback event that
+                # names it.
+                if not message.startswith("quarantine "):
+                    events.append(message)
+
+            mode_supervisor = SupervisedExecutor(
+                jobs=self.jobs,
+                executor=self.executor,
+                policy=RetryPolicy(retries=0, timeout_s=self.policy.timeout_s),
+                allow_fallback=self.allow_fallback,
+                on_event=mode_event,
+            )
+            ref_todo = []
+            with obs_tracing.span("vector_signoff", modes=len(groups),
                                   scenarios=len(todo)) as vector_span:
-                for group in modes.values():
-                    try:
-                        if self.fault_injector is not None:
-                            for scenario, _ in group:
-                                self.fault_injector.fire_kernel(
-                                    scenario.name
-                                )
-                        specs = [CornerSpec.from_scenario(s, self.stack)
-                                 for s, _ in group]
-                        kernel = compile_kernel(
-                            design, group[0][0].constraints, specs,
-                            stack=self.stack,
-                        )
-                        kernel.run()
-                    except KernelCompileError as exc:
-                        obs_metrics.inc("kernel.fallbacks")
-                        events.append(
-                            "vector engine fell back to reference for "
-                            f"{len(group)} scenario(s): {exc}"
-                        )
-                        ref_todo.extend(group)
-                        continue
-                    for ci, (scenario, fp) in enumerate(group):
-                        with obs_tracing.span("scenario",
-                                              scenario=scenario.name,
-                                              source="vector"):
-                            report = kernel.report(ci)
-                            report.scenario = scenario.name
-                            self.attempts += 1
+                executions = mode_supervisor.run([
+                    SupervisedTask(
+                        name=",".join(s.name for s, _ in group),
+                        fn=_run_mode_job,
+                        payload=([s for s, _ in group], design, self.stack,
+                                 self.fault_injector),
+                    )
+                    for group in groups
+                ])
+                for group, execution in zip(groups, executions):
+                    self.attempts += len(group) * execution.attempts
+                    result = execution.result
+                    if execution.ok and not isinstance(result,
+                                                       KernelCompileError):
+                        for (scenario, fp), report in zip(group, result):
                             absorb(scenario, fp, report, ScenarioStatus.OK)
+                        continue
+                    error = (f"{type(result).__name__}: {result}"
+                             if execution.ok else execution.error_chain[-1])
+                    obs_metrics.inc("kernel.fallbacks")
+                    events.append(
+                        "vector engine fell back to reference for "
+                        f"{len(group)} scenario(s): {error}"
+                    )
+                    ref_todo.extend(group)
                 if ref_todo:
-                    # The reference fan-out below runs these scenarios.
                     vector_span.set(kernel_fallbacks=",".join(
                         scenario.name for scenario, _ in ref_todo))
+            # A pool that died under a mode stays downgraded.
+            executor = mode_supervisor.executor_used
+            fallbacks = mode_supervisor.fallbacks
 
         supervisor = SupervisedExecutor(
             jobs=self.jobs,
-            executor=self.executor,
+            executor=executor,
             policy=self.policy,
             allow_fallback=self.allow_fallback,
             on_event=events.append,
@@ -1076,7 +1104,7 @@ class SignoffScheduler:
             degraded=degraded,
             journal_hits=journal_hits,
             executor_used=supervisor.executor_used,
-            fallbacks=list(supervisor.fallbacks),
+            fallbacks=fallbacks + supervisor.fallbacks,
             events=events,
             cache_stats=(self._pass_cache_stats(stats_before)
                          if self.cache is not None else None),

@@ -2,7 +2,6 @@
 
 from repro.testing.faults import (
     FAULT_KINDS,
-    WORKER_FAULT_KINDS,
     Fault,
     FaultInjector,
     FaultPlan,
@@ -12,7 +11,6 @@ from repro.testing.faults import (
 
 __all__ = [
     "FAULT_KINDS",
-    "WORKER_FAULT_KINDS",
     "Fault",
     "FaultInjector",
     "FaultPlan",

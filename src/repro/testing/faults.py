@@ -38,19 +38,13 @@ from repro.errors import ExecutorBrokenError, InjectedFaultError, TimingError
 
 FAULT_KINDS = ("crash", "hang", "pool_break", "kernel_compile")
 
-#: Fault kinds that fire inside a *worker* attempt (the supervisor's
-#: retry/quarantine machinery owns recovery). "kernel_compile" is the
-#: odd one out: it fires at vector-kernel compile time and exercises the
-#: reference-engine fallback ladder instead.
-WORKER_FAULT_KINDS = ("crash", "hang", "pool_break")
-
 
 @dataclass(frozen=True)
 class Fault:
     """One planned fault at (task, attempt) coordinates.
 
     Attributes:
-        kind: "crash", "hang" or "pool_break".
+        kind: "crash", "hang", "pool_break" or "kernel_compile".
         task: target task/scenario name, or "*" for any task.
         attempts: 1-based attempt numbers at which to fire. The default
             ``(1,)`` makes retries succeed — the common transient-fault
@@ -135,14 +129,6 @@ class FaultPlan:
                 return fault
         return None
 
-    def worker_faults(self) -> Tuple[Fault, ...]:
-        """Faults that fire inside worker attempts (crash/hang/pool)."""
-        return tuple(f for f in self.faults if f.scope == "worker")
-
-    def kernel_faults(self) -> Tuple[Fault, ...]:
-        """Faults that fire at vector-kernel compile time."""
-        return tuple(f for f in self.faults if f.scope == "kernel")
-
 
 @dataclass
 class FaultInjector:
@@ -173,14 +159,12 @@ class FaultInjector:
     def fire_kernel(self, task: str, attempt: int = 1) -> None:
         """Fire a planned kernel-compile fault for ``task``, if any.
 
-        Called by vector-engine compile sites (the signoff scheduler's
-        mode batching, the warm timer pool's full runs) so chaos plans
-        exercise the reference-engine fallback ladder — previously
-        injected runs always forced the reference engine, leaving the
-        fallback path untested under chaos. Raises
-        :class:`~repro.sta.kernel.KernelCompileError` exactly like a
-        real incongruent-library refusal, so production handling (not a
-        test-only path) absorbs it.
+        Called by the vector engine's compile sites: the signoff
+        scheduler's mode task, once per lane after that lane's worker
+        faults, and :func:`~repro.sta.kernel.run_on_engine` for a single
+        STA. Raises :class:`~repro.sta.kernel.KernelCompileError` exactly
+        like a real incongruent-library refusal, so production handling
+        (not a test-only path) absorbs it.
         """
         fault = self.plan.for_task(task, attempt, scope="kernel")
         if fault is None:

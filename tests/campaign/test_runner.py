@@ -15,6 +15,7 @@ from repro.campaign.store import METRIC_COLUMNS
 from repro.errors import CampaignError
 from repro.obs import tracing as obs_tracing
 from repro.runtime.supervisor import RetryPolicy
+from repro.sta.kernel import ENGINES
 
 
 def small_spec(name="small", **kwargs):
@@ -69,8 +70,9 @@ class TestValidation:
     def test_unknown_engine_rejected(self):
         spec = CampaignSpec(name="x",
                             factors=[Factor("engine", ("magic",))])
-        with pytest.raises(CampaignError):
+        with pytest.raises(CampaignError) as info:
             CampaignRunner(spec, store=None)
+        assert info.value.context["engines"] == ",".join(ENGINES)
 
     def test_bad_chunk(self, tmp_path):
         with pytest.raises(CampaignError):

@@ -17,6 +17,7 @@ from repro.obs.export import chrome_trace
 from repro.runtime import RunJournal
 from repro.serve import DaemonConfig, TimingClient, protocol
 from repro.sta import STA
+from repro.sta.kernel import ENGINES
 from repro.testing import FaultInjector, FaultPlan
 from repro.testing.faults import Fault
 from tests.serve.conftest import make_design, nand2_instance
@@ -100,23 +101,29 @@ class TestQueries:
             result["merged_wns_setup"]
 
     def test_histogram_and_paths(self, daemon_factory):
-        daemon = daemon_factory()
-        with client_for(daemon) as client:
-            histogram = client.request(
-                "histogram", {"scenario": "tt_typ", "bins": 6}
-            )
-            paths = client.request(
-                "paths", {"scenario": "tt_typ", "count": 2}
-            )
-        assert histogram["endpoints"] > 0
-        assert isinstance(histogram["histogram"], str)
-        assert 1 <= len(paths["paths"]) <= 2
-        for path in paths["paths"]:
-            assert path["stages"] >= 1
-            assert isinstance(path["render"], str)
-        # Paths come worst-first.
-        slacks = [p["slack"] for p in paths["paths"]]
-        assert slacks == sorted(slacks)
+        by_engine = {}
+        for engine in ENGINES:
+            daemon = daemon_factory(config=DaemonConfig(
+                workers=2, queue_limit=32, engine=engine))
+            with client_for(daemon) as client:
+                histogram = client.request(
+                    "histogram", {"scenario": "tt_typ", "bins": 6}
+                )
+                paths = client.request(
+                    "paths", {"scenario": "tt_typ", "count": 2}
+                )
+            assert histogram["endpoints"] > 0
+            assert isinstance(histogram["histogram"], str)
+            assert 1 <= len(paths["paths"]) <= 2
+            for path in paths["paths"]:
+                assert path["stages"] >= 1
+                assert isinstance(path["render"], str)
+            # Paths come worst-first.
+            slacks = [p["slack"] for p in paths["paths"]]
+            assert slacks == sorted(slacks)
+            by_engine[engine] = paths
+        # The vector run leaves backpointers behind: same paths.
+        assert by_engine["vector"] == by_engine["reference"]
 
     def test_unknown_scenario_is_bad_request(self, daemon_factory):
         daemon = daemon_factory()

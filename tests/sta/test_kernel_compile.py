@@ -238,15 +238,6 @@ class TestLifecycle:
         kernel.run()
         assert kernel.report(0).endpoints("setup")
 
-    def test_invalidate_blocks_run(self, compiled):
-        _, kernel = compiled
-        clone = compile_kernel(kernel.design, kernel.constraints,
-                               kernel.corners, stack=kernel.stack,
-                               graph=kernel.graph)
-        clone.invalidate()
-        with pytest.raises(TimingError):
-            clone.run()
-
     def test_engines_registry(self):
         assert ENGINES == ("reference", "vector")
 

@@ -20,6 +20,7 @@ from repro.sta.scheduler import (
     library_fingerprint,
     scenario_fingerprint,
 )
+from repro.testing.faults import Fault, FaultInjector, FaultPlan
 
 
 @pytest.fixture(scope="module")
@@ -650,19 +651,39 @@ class TestEngineCacheParity:
             assert vec.reports[name] == ref.reports[name]
             assert vec.reports[name].scenario == name
 
-    def test_fault_injection_forces_reference_path(self, lib, lib_ss):
-        from repro.testing import FaultInjector, FaultPlan
+    @pytest.mark.parametrize("plan", [
+        pytest.param(lambda names: FaultPlan.seeded(
+            1, names, crash_rate=0.3, persistent_rate=0.3, kernel_rate=0.3,
+        ), id="seeded"),
+        pytest.param(lambda names: FaultPlan.of(
+            Fault("pool_break", task="ss_cw"),
+            Fault("crash", task="ss_rcw", attempts=(1, 2)),
+        ), id="pool_break"),
+        pytest.param(lambda names: FaultPlan.of(
+            Fault("kernel_compile", task="ss_rcw"),
+        ), id="kernel_compile"),
+    ])
+    def test_fault_plan_records_match_reference(self, lib, lib_ss, plan):
+        """A fault plan gives every scenario the same record on both
+        engines: a failed mode's scenarios rejoin the per-scenario
+        fan-out, which owns retry and quarantine on either engine."""
+        names = [s.name for s in make_scenarios(lib, lib_ss)]
+        assert plan(names).faults
 
-        scenarios = make_scenarios(lib, lib_ss)
-        names = [s.name for s in scenarios]
-        injector = FaultInjector(FaultPlan.seeded(
-            1, names, crash_rate=0.0, hang_rate=0.0, persistent_rate=0.0,
-        ))
-        outcome = SignoffScheduler(
-            scenarios, engine="vector", fault_injector=injector,
-        ).signoff(make_design())
-        # The vector batch is bypassed under fault injection (the
-        # supervisor owns retry/quarantine), yet results still land.
-        assert sorted(outcome.recomputed) == sorted(names)
-        ref = SignoffScheduler(scenarios).signoff(make_design())
-        assert slack_text(outcome) == slack_text(ref)
+        def run(engine):
+            return SignoffScheduler(
+                make_scenarios(lib, lib_ss), jobs=2, engine=engine,
+                policy=RetryPolicy(retries=1, backoff_s=0.0),
+                fault_injector=FaultInjector(plan(names)),
+            ).signoff(make_design())
+
+        ref, vec = run("reference"), run("vector")
+        assert vec.records == ref.records
+        assert vec.degraded == ref.degraded
+        assert slack_text(vec) == slack_text(ref)
+        assert vec.fallbacks == ref.fallbacks
+        assert vec.executor_used == ref.executor_used
+        # One event names the failed mode; the reference run has none.
+        assert len([e for e in vec.events
+                    if e.startswith("vector engine fell back")]) == 1
+        assert not [e for e in ref.events if e.startswith("vector engine")]

@@ -6,6 +6,8 @@ import pytest
 from repro.errors import SignoffError
 from repro.liberty import LibraryCondition, make_library
 from repro.netlist.generators import random_logic
+from repro.obs import tracing as obs_tracing
+from repro.obs.tracing import Tracer
 from repro.runtime.journal import RunJournal
 from repro.runtime.supervisor import RetryPolicy
 from repro.sta import Constraints
@@ -57,10 +59,34 @@ def fast_policy(**kwargs):
 
 
 class TestFaultRecovery:
+    """Fault plans against the supervised fan-out. The reference engine
+    runs them here; :class:`TestVectorFaultRecovery` runs the same
+    bodies on the vector engine, where every per-scenario record must
+    come out the same."""
+
+    engine = "reference"
+
+    def signoff_scheduler(self, scenarios, **kwargs):
+        return SignoffScheduler(scenarios, engine=self.engine, **kwargs)
+
+    def assert_mode_fell_back(self, outcome, error):
+        """On the vector engine the one mode of the three scenarios fails
+        first, and one fallback event names its error."""
+        fell = [e for e in outcome.events
+                if e.startswith("vector engine fell back")]
+        if self.engine == "reference":
+            assert fell == []
+        else:
+            assert fell == ["vector engine fell back to reference for "
+                            f"3 scenario(s): attempt 1: {error}"]
+        # The failed mode is not quarantined: no event names its task.
+        assert not [e for e in outcome.events
+                    if e.startswith("quarantine tt_typ,")]
+
     def test_transient_crash_is_retried(self, lib, lib_ss):
         scenarios = make_scenarios(lib, lib_ss)
         injector = FaultInjector(FaultPlan.of(Fault("crash", task="ss_cw")))
-        scheduler = SignoffScheduler(
+        scheduler = self.signoff_scheduler(
             scenarios, jobs=2, policy=fast_policy(),
             fault_injector=injector,
         )
@@ -70,14 +96,18 @@ class TestFaultRecovery:
         assert outcome.records["ss_cw"].status is ScenarioStatus.RETRIED
         assert outcome.records["ss_cw"].attempts == 2
         assert outcome.records["tt_typ"].status is ScenarioStatus.OK
-        assert scheduler.attempts == 4  # 3 scenarios + 1 retry
+        self.assert_mode_fell_back(
+            outcome, "InjectedFaultError: injected worker crash")
+        # 3 scenarios + 1 retry; the failed mode attempt adds 3 lanes.
+        assert scheduler.attempts == \
+            {"reference": 4, "vector": 7}[self.engine]
 
     def test_persistent_crash_quarantined_batch_completes(self, lib, lib_ss):
         scenarios = make_scenarios(lib, lib_ss)
         injector = FaultInjector(FaultPlan.of(
             Fault("crash", task="ss_rcw", attempts=tuple(range(1, 33))),
         ))
-        scheduler = SignoffScheduler(
+        scheduler = self.signoff_scheduler(
             scenarios, jobs=2, policy=fast_policy(retries=1),
             fault_injector=injector,
         )
@@ -92,33 +122,38 @@ class TestFaultRecovery:
         assert len(record.error_chain) == 2
         # merged result still available over the surviving scenarios
         assert set(outcome.result.reports) == {"ss_cw", "tt_typ"}
+        self.assert_mode_fell_back(
+            outcome, "InjectedFaultError: injected worker crash")
 
     def test_crash_plus_hang_completes(self, lib, lib_ss):
-        """The acceptance scenario: one crashing and one hanging scenario
+        """The acceptance scenario: one hanging and one crashing scenario
         in the same batch; the batch completes with quarantine only where
-        every attempt failed."""
+        every attempt failed. The hang comes first in lane order, so on
+        the vector engine the mode is abandoned at ``timeout_s``."""
         scenarios = make_scenarios(lib, lib_ss)
         injector = FaultInjector(FaultPlan.of(
-            Fault("crash", task="ss_cw", attempts=tuple(range(1, 33))),
-            Fault("hang", task="ss_rcw", seconds=1.0),
+            Fault("hang", task="ss_cw", seconds=1.0),
+            Fault("crash", task="ss_rcw", attempts=tuple(range(1, 33))),
         ))
-        scheduler = SignoffScheduler(
+        scheduler = self.signoff_scheduler(
             scenarios, jobs=2,
             policy=fast_policy(retries=1, timeout_s=0.5),
             fault_injector=injector,
         )
         outcome = scheduler.signoff(make_design())
-        assert outcome.degraded == ["ss_cw"]
-        assert outcome.records["ss_rcw"].status is ScenarioStatus.RETRIED
-        assert sorted(outcome.reports) == ["ss_rcw", "tt_typ"]
+        assert outcome.degraded == ["ss_rcw"]
+        assert outcome.records["ss_cw"].status is ScenarioStatus.RETRIED
+        assert sorted(outcome.reports) == ["ss_cw", "tt_typ"]
         assert "DEGRADED: 1/3 scenario(s) quarantined" in outcome.render()
+        self.assert_mode_fell_back(
+            outcome, "WorkerTimeoutError: attempt exceeded its time budget")
 
     def test_pool_break_falls_back(self, lib, lib_ss):
         scenarios = make_scenarios(lib, lib_ss)
         injector = FaultInjector(
             FaultPlan.of(Fault("pool_break", task="tt_typ"))
         )
-        scheduler = SignoffScheduler(
+        scheduler = self.signoff_scheduler(
             scenarios, jobs=2, policy=fast_policy(),
             fault_injector=injector,
         )
@@ -127,6 +162,8 @@ class TestFaultRecovery:
         assert outcome.fallbacks == ["thread->serial"]
         assert outcome.executor_used == "serial"
         assert sorted(outcome.reports) == ["ss_cw", "ss_rcw", "tt_typ"]
+        self.assert_mode_fell_back(
+            outcome, "ExecutorBrokenError: injected worker-pool death")
 
     def test_pool_break_without_fallback_raises(self, lib, lib_ss):
         from repro.errors import ExecutorBrokenError
@@ -135,7 +172,7 @@ class TestFaultRecovery:
         injector = FaultInjector(
             FaultPlan.of(Fault("pool_break", task="tt_typ"))
         )
-        scheduler = SignoffScheduler(
+        scheduler = self.signoff_scheduler(
             scenarios, jobs=2, policy=fast_policy(),
             fault_injector=injector, allow_fallback=False,
         )
@@ -149,7 +186,7 @@ class TestFaultRecovery:
             Fault("crash", task="ss_cw", attempts=tuple(range(1, 33))),
         ))
         journal = RunJournal(tmp_path / "run.jsonl")
-        scheduler = SignoffScheduler(
+        scheduler = self.signoff_scheduler(
             scenarios, jobs=2, policy=fast_policy(retries=1),
             fault_injector=injector, journal=journal, keep_going=False,
         )
@@ -163,18 +200,70 @@ class TestFaultRecovery:
         """Fault recovery must not change the timing answer."""
         scenarios = make_scenarios(lib, lib_ss)
         design = make_design()
-        clean = SignoffScheduler(scenarios, jobs=1).signoff(design)
+        clean = self.signoff_scheduler(scenarios, jobs=1).signoff(design)
         injector = FaultInjector(FaultPlan.of(
             Fault("crash", task="ss_cw"),
             Fault("crash", task="tt_typ"),
         ))
-        faulted = SignoffScheduler(
+        faulted = self.signoff_scheduler(
             make_scenarios(lib, lib_ss), jobs=2,
             policy=fast_policy(), fault_injector=injector,
         ).signoff(design)
         for name in clean.reports:
             assert clean.reports[name].render_full() == \
                 faulted.reports[name].render_full()
+        self.assert_mode_fell_back(
+            faulted, "InjectedFaultError: injected worker crash")
+
+
+class TestVectorFaultRecovery(TestFaultRecovery):
+    """The fault plans above with each mode timed as one supervised
+    kernel task: a failed mode's scenarios rejoin the per-scenario
+    fan-out, so retry and quarantine come out as on the reference."""
+
+    engine = "vector"
+
+    def test_crash_in_one_mode_keeps_the_other_on_the_kernel(self, lib,
+                                                             lib_ss):
+        def two_modes():
+            fast = Constraints.single_clock(520.0)
+            slow = Constraints.single_clock(560.0)
+            for c in (fast, slow):
+                c.input_delays = {f"in{i}": 60.0 for i in range(8)}
+            return [
+                Scenario("tt_typ", lib, fast),
+                Scenario("ss_cw", lib_ss, fast, beol_corner_name="cw",
+                         temp_c=125.0),
+                Scenario("ss_rcw", lib_ss, slow, beol_corner_name="rcw",
+                         temp_c=125.0),
+            ]
+
+        injector = FaultInjector(FaultPlan.of(
+            Fault("crash", task="ss_rcw", attempts=tuple(range(1, 33))),
+        ))
+        tracer = Tracer()
+        with obs_tracing.use(tracer):
+            outcome = self.signoff_scheduler(
+                two_modes(), jobs=2, policy=fast_policy(retries=1),
+                fault_injector=injector,
+            ).signoff(make_design())
+        assert outcome.degraded == ["ss_rcw"]
+        assert outcome.records["tt_typ"].status is ScenarioStatus.OK
+        assert outcome.records["ss_cw"].status is ScenarioStatus.OK
+        assert outcome.events[0] == (
+            "vector engine fell back to reference for 1 scenario(s): "
+            "attempt 1: InjectedFaultError: injected worker crash")
+        spans = tracer.spans()
+        (vector,) = [s for s in spans if s.name == "vector_signoff"]
+        assert vector.attrs["kernel_fallbacks"] == "ss_rcw"
+        assert sorted(s.attrs["scenario"] for s in spans
+                      if s.name == "scenario"
+                      and s.attrs.get("source") == "vector") == \
+            ["ss_cw", "tt_typ"]
+        reference = SignoffScheduler(two_modes()).signoff(make_design())
+        for name in ("tt_typ", "ss_cw"):
+            assert outcome.reports[name].render_full() == \
+                reference.reports[name].render_full()
 
 
 class TestCacheIntegrity:

@@ -176,7 +176,11 @@ class TestEngineSelection:
         enclosing = []
 
         def recording_report(kernel, ci):
-            enclosing.append(tracing.active_tracer().current_span_id())
+            # The mode task records into a worker tracer whose span ids
+            # are renumbered on ingestion: keep the tracer to look the
+            # enclosing span up once it has closed.
+            tracer = tracing.active_tracer()
+            enclosing.append((tracer, tracer.current_span_id()))
             return report(kernel, ci)
 
         monkeypatch.setattr(CompiledKernel, "report", recording_report)
@@ -196,7 +200,11 @@ class TestEngineSelection:
                   and e["args"].get("source") == "vector"}
         assert vector
         assert all(e["dur"] > 0 for e in vector.values())
-        assert sorted(enclosing) == sorted(vector)
+        spans = [next(s for s in tracer.spans() if s.span_id == span_id)
+                 for tracer, span_id in enclosing]
+        assert sorted((s.name, s.attrs["scenario"]) for s in spans) == \
+            sorted(("scenario", e["args"]["scenario"])
+                   for e in vector.values())
 
 
 class TestObservability:

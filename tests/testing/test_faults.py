@@ -127,8 +127,6 @@ class TestKernelFaults:
         )
         assert Fault("kernel_compile", task="b").scope == "kernel"
         assert Fault("crash", task="a").scope == "worker"
-        assert [f.task for f in plan.worker_faults()] == ["a", "c"]
-        assert [f.task for f in plan.kernel_faults()] == ["b"]
         # for_task honors scope: the kernel fault is invisible to the
         # worker lookup and vice versa.
         assert plan.for_task("b", 1) is None
@@ -164,8 +162,6 @@ class TestKernelFaults:
                                 persistent_rate=0.0, kernel_rate=0.2)
         assert plan.faults  # 20% of 200 draws should land
         assert all(f.kind == "kernel_compile" for f in plan.faults)
-        assert plan.worker_faults() == ()
-        assert plan.kernel_faults() == plan.faults
         again = FaultPlan.seeded(11, names, crash_rate=0.0,
                                  hang_rate=0.0, persistent_rate=0.0,
                                  kernel_rate=0.2)
