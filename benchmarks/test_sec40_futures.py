@@ -164,25 +164,30 @@ def test_sec40_incremental_eco_turnaround(benchmark, lib, record_table):
         path = sta.worst_path(worst)
         cells = [p.ref.instance for p in path.points
                  if p.kind == "cell" and not p.ref.is_port]
-        # Ten single-cell ECOs, timed incrementally and fully.
-        inc_time = 0.0
+        # Three single-cell ECOs on the worst path's last cells, each
+        # timed incrementally with its cone; then one full re-timing.
+        updates = []
         for name in cells[-3:]:
             swap_vt(design, lib, name, "lvt") or upsize(design, lib, name)
             t0 = time.perf_counter()
             timer.update_cells([name])
-            inc_time += time.perf_counter() - t0
+            updates.append((time.perf_counter() - t0, timer.last_cone_size))
         t0 = time.perf_counter()
         full_report = STA(design, lib, constraints).run()
         full_time = time.perf_counter() - t0
-        return (inc_time / 3.0, full_time, timer.last_cone_size,
-                len(sta.graph.topo_order),
+        return (updates, full_time, len(sta.graph.topo_order),
                 timer.sta.report.wns("setup"), full_report.wns("setup"))
 
-    inc, full, cone, pins, inc_wns, full_wns = once(benchmark, run)
-    lines = [
-        f"design: {pins} pins",
+    updates, full, pins, inc_wns, full_wns = once(benchmark, run)
+    inc = sum(seconds for seconds, _ in updates) / len(updates)
+    cone = sum(size for _, size in updates) / len(updates)
+    lines = [f"design: {pins} pins"]
+    for i, (seconds, size) in enumerate(updates, 1):
+        lines.append(f"incremental ECO update {i}:    {seconds * 1e3:7.2f} ms "
+                     f"(cone {size} pins)")
+    lines += [
         f"mean incremental ECO update: {inc * 1e3:7.2f} ms "
-        f"(cone {cone} pins)",
+        f"(mean cone {cone:.0f} pins)",
         f"full re-timing:              {full * 1e3:7.2f} ms",
         f"speedup: {full / inc:.1f}x",
         f"WNS agreement: incremental {inc_wns:.2f} vs full {full_wns:.2f}",

@@ -101,12 +101,7 @@ class STA:
         self.si_delta = si_delta
         self.prop = propagate(self.graph, self.parasitics, self.derates,
                               si_delta=si_delta, algebra=self.algebra)
-        report = TimingReport(
-            setup=self._setup_endpoints() + self._output_endpoints(),
-            hold=self._hold_endpoints(),
-            slew_violations=self._slew_violations(),
-            scenario=self.library.name,
-        )
+        report = self._report()
         self.report = report
         return report
 
@@ -165,85 +160,99 @@ class STA:
         if not self.constraints.clocks:
             return out
         for check in self.graph.setup_checks():
-            clk_early, _, clk_slew = self._clock_at(check.clock_pin)
-            clock = self._clock_of_check(check)
-            if clock is None:
-                raise TimingError(
-                    f"cannot resolve the capture clock of {check.data_pin}"
-                )
-            clk_early += self.constraints.clock_latency.get(check.instance, 0.0)
-            best: Optional[EndpointResult] = None
-            for direction in DIRECTIONS:
-                if not self.prop.has(check.data_pin, direction):
-                    continue
-                arr = self.prop.at(check.data_pin, direction)
-                setup = check.arc.constraint_value(
-                    direction, arr.slew_late, clk_slew
-                )
-                required = (
-                    clock.period
-                    + clk_early
-                    - setup
-                    - clock.uncertainty_setup
-                    - self.constraints.flat_setup_margin
-                )
-                slack = required - arr.late
-                if best is None or slack < best.slack:
-                    best = EndpointResult(
-                        endpoint=check.data_pin,
-                        kind="setup",
-                        slack=slack,
-                        arrival=arr.late,
-                        required=required,
-                        data_direction=direction,
-                        check=check,
-                    )
-            if best is not None:
-                self._annotate_origin(best, "late")
-                out.append(best)
+            result = self._setup_record(check)
+            if result is not None:
+                out.append(result)
         return out
+
+    def _setup_record(self, check: TimingCheck) -> Optional[EndpointResult]:
+        """The worst-direction setup result of one check, or None when
+        no data arrives at its data pin."""
+        clk_early, _, clk_slew = self._clock_at(check.clock_pin)
+        clock = self._clock_of_check(check)
+        if clock is None:
+            raise TimingError(
+                f"cannot resolve the capture clock of {check.data_pin}"
+            )
+        clk_early += self.constraints.clock_latency.get(check.instance, 0.0)
+        best: Optional[EndpointResult] = None
+        for direction in DIRECTIONS:
+            if not self.prop.has(check.data_pin, direction):
+                continue
+            arr = self.prop.at(check.data_pin, direction)
+            setup = check.arc.constraint_value(
+                direction, arr.slew_late, clk_slew
+            )
+            required = (
+                clock.period
+                + clk_early
+                - setup
+                - clock.uncertainty_setup
+                - self.constraints.flat_setup_margin
+            )
+            slack = required - arr.late
+            if best is None or slack < best.slack:
+                best = EndpointResult(
+                    endpoint=check.data_pin,
+                    kind="setup",
+                    slack=slack,
+                    arrival=arr.late,
+                    required=required,
+                    data_direction=direction,
+                    check=check,
+                )
+        if best is not None:
+            self._annotate_origin(best, "late")
+        return best
 
     def _hold_endpoints(self) -> List[EndpointResult]:
         out = []
         if not self.constraints.clocks:
             return out
         for check in self.graph.hold_checks():
-            _, clk_late, clk_slew = self._clock_at(check.clock_pin)
-            clock = self._clock_of_check(check)
-            if clock is None:
-                raise TimingError(
-                    f"cannot resolve the capture clock of {check.data_pin}"
-                )
-            clk_late += self.constraints.clock_latency.get(check.instance, 0.0)
-            best: Optional[EndpointResult] = None
-            for direction in DIRECTIONS:
-                if not self.prop.has(check.data_pin, direction):
-                    continue
-                arr = self.prop.at(check.data_pin, direction)
-                hold = check.arc.constraint_value(
-                    direction, arr.slew_early, clk_slew
-                )
-                required = (
-                    clk_late
-                    + hold
-                    + clock.uncertainty_hold
-                    + self.constraints.flat_hold_margin
-                )
-                slack = arr.early - required
-                if best is None or slack < best.slack:
-                    best = EndpointResult(
-                        endpoint=check.data_pin,
-                        kind="hold",
-                        slack=slack,
-                        arrival=arr.early,
-                        required=required,
-                        data_direction=direction,
-                        check=check,
-                    )
-            if best is not None:
-                self._annotate_origin(best, "early")
-                out.append(best)
+            result = self._hold_record(check)
+            if result is not None:
+                out.append(result)
         return out
+
+    def _hold_record(self, check: TimingCheck) -> Optional[EndpointResult]:
+        """The worst-direction hold result of one check, or None when no
+        data arrives at its data pin."""
+        _, clk_late, clk_slew = self._clock_at(check.clock_pin)
+        clock = self._clock_of_check(check)
+        if clock is None:
+            raise TimingError(
+                f"cannot resolve the capture clock of {check.data_pin}"
+            )
+        clk_late += self.constraints.clock_latency.get(check.instance, 0.0)
+        best: Optional[EndpointResult] = None
+        for direction in DIRECTIONS:
+            if not self.prop.has(check.data_pin, direction):
+                continue
+            arr = self.prop.at(check.data_pin, direction)
+            hold = check.arc.constraint_value(
+                direction, arr.slew_early, clk_slew
+            )
+            required = (
+                clk_late
+                + hold
+                + clock.uncertainty_hold
+                + self.constraints.flat_hold_margin
+            )
+            slack = arr.early - required
+            if best is None or slack < best.slack:
+                best = EndpointResult(
+                    endpoint=check.data_pin,
+                    kind="hold",
+                    slack=slack,
+                    arrival=arr.early,
+                    required=required,
+                    data_direction=direction,
+                    check=check,
+                )
+        if best is not None:
+            self._annotate_origin(best, "early")
+        return best
 
     def _output_endpoints(self) -> List[EndpointResult]:
         out = []
@@ -251,42 +260,90 @@ class STA:
             return out
         clock = self.constraints.primary_clock()
         for ref in self.graph.output_port_refs():
-            direction, late = self.prop.worst_late(ref)
-            if direction is None:
-                continue
-            required = (
-                clock.period
-                - self.constraints.output_delays.get(ref.pin, 0.0)
-                - clock.uncertainty_setup
-            )
-            result = EndpointResult(
-                endpoint=ref,
-                kind="output",
-                slack=required - late,
-                arrival=late,
-                required=required,
-                data_direction=direction,
-            )
-            self._annotate_origin(result, "late")
-            out.append(result)
+            result = self._output_record(ref, clock)
+            if result is not None:
+                out.append(result)
         return out
 
+    def _output_record(self, ref: PinRef,
+                       clock) -> Optional[EndpointResult]:
+        """The output port ``ref`` against ``clock`` (the primary clock),
+        or None when no data arrives there."""
+        direction, late = self.prop.worst_late(ref)
+        if direction is None:
+            return None
+        required = (
+            clock.period
+            - self.constraints.output_delays.get(ref.pin, 0.0)
+            - clock.uncertainty_setup
+        )
+        result = EndpointResult(
+            endpoint=ref,
+            kind="output",
+            slack=required - late,
+            arrival=late,
+            required=required,
+            data_direction=direction,
+        )
+        self._annotate_origin(result, "late")
+        return result
+
     def _slew_violations(self) -> List[SlewViolation]:
-        default = self.constraints.max_transition or \
-            self.library.default_max_transition
+        default = self._default_max_transition()
         out = []
         for ref in self.graph.topo_order:
-            if ref.is_port:
-                continue
-            pin = self.graph.cell_of(ref).pin(ref.pin)
-            limit = pin.max_transition or default
-            worst = 0.0
-            for direction in DIRECTIONS:
-                if self.prop.has(ref, direction):
-                    worst = max(worst, self.prop.at(ref, direction).slew_late)
-            if worst > limit:
-                out.append(SlewViolation(ref=ref, slew=worst, limit=limit))
+            violation = self._slew_record(ref, default)
+            if violation is not None:
+                out.append(violation)
         return out
+
+    def _default_max_transition(self) -> float:
+        """The slew limit of a pin whose library pin sets none."""
+        return self.constraints.max_transition or \
+            self.library.default_max_transition
+
+    def _slew_record(self, ref: PinRef,
+                     default: float) -> Optional[SlewViolation]:
+        """The max-transition violation at ``ref``, or None (ports are
+        not checked). ``default`` is :meth:`_default_max_transition`."""
+        if ref.is_port:
+            return None
+        pin = self.graph.cell_of(ref).pin(ref.pin)
+        limit = pin.max_transition or default
+        worst = 0.0
+        for direction in DIRECTIONS:
+            if self.prop.has(ref, direction):
+                worst = max(worst, self.prop.at(ref, direction).slew_late)
+        if worst > limit:
+            return SlewViolation(ref=ref, slew=worst, limit=limit)
+        return None
+
+    def _report(
+        self,
+        setup: Optional[List[EndpointResult]] = None,
+        hold: Optional[List[EndpointResult]] = None,
+        slew_violations: Optional[List[SlewViolation]] = None,
+    ) -> TimingReport:
+        """Assemble a report, evaluating in full each list not given.
+
+        Every engine's report goes through here. ``setup`` lists the
+        setup checks in graph order followed by the output ports, and
+        ``slew_violations`` is in topological order: the report's stable
+        sort then breaks slack ties the same way whichever path
+        evaluated the records.
+        """
+        if setup is None:
+            setup = self._setup_endpoints() + self._output_endpoints()
+        if hold is None:
+            hold = self._hold_endpoints()
+        if slew_violations is None:
+            slew_violations = self._slew_violations()
+        return TimingReport(
+            setup=setup,
+            hold=hold,
+            slew_violations=slew_violations,
+            scenario=self.library.name,
+        )
 
     # ------------------------------------------------------------------ #
     # path reconstruction

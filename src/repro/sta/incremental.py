@@ -30,12 +30,24 @@ Guarantees the closure loop leans on:
   only when an update actually edits the design; a no-op update (empty
   edit list) returns the existing report and leaves every cached
   scenario intact.
+
+Cost model: a cone update costs the edited cone plus one pass over the
+endpoint list. The timer keeps the last report's records indexed (one
+per check, one per output port, one slew violation per pin) and
+re-evaluates only those whose pins the cone reaches: the cone is closed
+under fan-out, so every other record has the same fan-in, arrivals,
+backpointers and arc as before. Rebinds are planned from a per-instance
+index of cell-edge slots and checks, and the cone re-propagates in a
+stored topological order. The indexes are built once per timing graph
+(at construction and after :meth:`IncrementalTimer.full_update`).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List, Set, Tuple
+from copy import copy
+from itertools import chain
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import TimingError
 from repro.netlist.design import PinRef
@@ -50,7 +62,7 @@ from repro.sta.propagation import (
     _propagate_cell_edge,
     _propagate_net_edge,
 )
-from repro.sta.reports import TimingReport
+from repro.sta.reports import EndpointResult, SlewViolation, TimingReport
 
 #: Version of the timer's internal state layout. Checkpoints record it so
 #: a resumed run knows whether a serialized timer state could be trusted;
@@ -83,6 +95,10 @@ class IncrementalTimer:
         #: design, so cached per-scenario reports of the pre-ECO netlist
         #: are dropped eagerly rather than lingering until LRU eviction.
         self.caches: List[object] = []
+        # The graph and the report the timer's indexes describe.
+        self._graph: Optional[TimingGraph] = None
+        self._indexed: Optional[TimingReport] = None
+        self._sync()
 
     def register_cache(self, cache) -> None:
         """Invalidate ``cache`` entries for this design on every update."""
@@ -114,11 +130,10 @@ class IncrementalTimer:
         """
         sta = self.sta
         names = list(dict.fromkeys(instance_names))  # de-dupe, keep order
+        self._sync()
         if not names:
             # No-op pass: nothing changed, so every cached scenario and
             # stored arrival is still valid. Serve the existing report.
-            if sta.report is None:
-                sta.report = self._build_report()
             return sta.report
 
         with obs_tracing.span("retime_cone", design=sta.design.name,
@@ -157,25 +172,34 @@ class IncrementalTimer:
             affected = self._downstream_cone(seeds)
             self.last_cone_size = len(affected)
             self.incremental_updates += 1
-            cone_span.set(cone=len(affected))
             obs_metrics.inc("sta.retime.incremental")
             obs_metrics.observe("sta.retime.cone_size", len(affected))
 
-            # Invalidate and recompute in topological order.
+            # Invalidate and recompute in topological order. A pin with
+            # no edges is not in the order and has nothing to propagate.
+            pos = self._topo_pos
+            cone = sorted((ref for ref in affected if ref in pos),
+                          key=pos.__getitem__)
             for ref in affected:
                 for direction in DIRECTIONS:
                     sta.prop.arrivals.pop((ref, direction), None)
-            for ref in sta.graph.topo_order:
-                if ref not in affected:
-                    continue
+            for ref in cone:
                 for edge in sta.graph.in_edges.get(ref, []):
                     if isinstance(edge, NetEdge):
                         _propagate_net_edge(sta.graph, sta.parasitics,
-                                            sta.prop, edge, si_delta)
+                                            sta.prop, edge, si_delta,
+                                            sta.algebra)
                     else:
                         _propagate_cell_edge(sta.graph, sta.parasitics,
-                                             sta.prop, edge, sta.derates)
-            return self._rebuild_report()
+                                             sta.prop, edge, sta.derates,
+                                             sta.algebra)
+            endpoints, slew_pins = self._refresh_records(affected, cone)
+            cone_span.set(cone=len(affected), endpoints=endpoints,
+                          slew_pins=slew_pins)
+            report = self._assemble()
+            sta.report = report
+            self._indexed = report
+            return report
 
     def full_update(self) -> TimingReport:
         """Fall back to a complete, honest re-run.
@@ -196,7 +220,9 @@ class IncrementalTimer:
             sta.design.bind(sta.library)
             sta.parasitics.invalidate()
             sta.graph = TimingGraph(sta.design, sta.library, sta.constraints)
-            return run_on_engine(sta, self.engine, sta.library.name)
+            report = run_on_engine(sta, self.engine, sta.library.name)
+            self._sync()
+            return report
 
     # ------------------------------------------------------------------ #
 
@@ -260,32 +286,30 @@ class IncrementalTimer:
             return CellEdge(instance=name, arc=new_arc)
 
         plan: IncrementalTimer._Plan = []
-        for adjacency in (sta.graph.in_edges, sta.graph.out_edges):
-            for edges in adjacency.values():
-                for i, edge in enumerate(edges):
-                    if isinstance(edge, CellEdge) and edge.instance == name:
-                        if id(edge) not in replaced:
-                            replaced[id(edge)] = rebind(edge)
-                        plan.append((edges, i, replaced[id(edge)]))
-        for i, check in enumerate(sta.graph.checks):
-            if check.instance == name:
-                key = (check.arc.related_pin, check.arc.pin,
-                       check.arc.timing_type)
-                new_arc = arc_map.get(key)
-                if new_arc is None:
-                    raise TimingError(
-                        f"swap on {name} changed the constraint arcs; "
-                        "full rebuild needed"
-                    )
-                plan.append((
-                    sta.graph.checks, i,
-                    type(check)(
-                        instance=name,
-                        data_pin=check.data_pin,
-                        clock_pin=check.clock_pin,
-                        arc=new_arc,
-                    ),
-                ))
+        for edges, i in self._edge_slots.get(name, ()):
+            edge = edges[i]
+            if id(edge) not in replaced:
+                replaced[id(edge)] = rebind(edge)
+            plan.append((edges, i, replaced[id(edge)]))
+        for i in self._checks_of.get(name, ()):
+            check = sta.graph.checks[i]
+            key = (check.arc.related_pin, check.arc.pin,
+                   check.arc.timing_type)
+            new_arc = arc_map.get(key)
+            if new_arc is None:
+                raise TimingError(
+                    f"swap on {name} changed the constraint arcs; "
+                    "full rebuild needed"
+                )
+            plan.append((
+                sta.graph.checks, i,
+                type(check)(
+                    instance=name,
+                    data_pin=check.data_pin,
+                    clock_pin=check.clock_pin,
+                    arc=new_arc,
+                ),
+            ))
         return plan
 
     @staticmethod
@@ -305,16 +329,118 @@ class IncrementalTimer:
                     queue.append(dst)
         return affected
 
-    def _build_report(self) -> TimingReport:
-        sta = self.sta
-        return TimingReport(
-            setup=sta._setup_endpoints() + sta._output_endpoints(),
-            hold=sta._hold_endpoints(),
-            slew_violations=sta._slew_violations(),
-            scenario=sta.library.name,
-        )
+    # ------------------------------------------------------------------ #
+    # indexes and records
 
-    def _rebuild_report(self) -> TimingReport:
-        report = self._build_report()
-        self.sta.report = report
-        return report
+    def _sync(self) -> None:
+        """Index the STA's graph and report unless they are the ones the
+        indexes describe (a full update or an outside ``STA.run``
+        replaces them). A missing report is evaluated in full first."""
+        sta = self.sta
+        if sta.graph is not self._graph:
+            self._index_graph()
+            self._indexed = None
+        if sta.report is None:
+            sta.report = sta._report()
+        if sta.report is not self._indexed:
+            self._index_report()
+
+    def _index_graph(self) -> None:
+        """Per-graph indexes: each pin's topological position, each
+        output port's position, each instance's cell-edge slots
+        (adjacency list, index) and check positions, and the checks at
+        each data or clock pin."""
+        graph = self.sta.graph
+        self._graph = graph
+        self._topo_pos: Dict[PinRef, int] = {
+            ref: i for i, ref in enumerate(graph.topo_order)
+        }
+        self._output_pos: Dict[PinRef, int] = {
+            ref: i for i, ref in enumerate(graph.output_port_refs())
+        }
+        self._edge_slots: Dict[str, List[Tuple[list, int]]] = {}
+        for adjacency in (graph.in_edges, graph.out_edges):
+            for edges in adjacency.values():
+                for i, edge in enumerate(edges):
+                    if isinstance(edge, CellEdge):
+                        self._edge_slots.setdefault(
+                            edge.instance, []).append((edges, i))
+        self._checks_of: Dict[str, List[int]] = {}
+        self._checks_at: Dict[PinRef, List[int]] = {}
+        for i, check in enumerate(graph.checks):
+            self._checks_of.setdefault(check.instance, []).append(i)
+            self._checks_at.setdefault(check.data_pin, []).append(i)
+            self._checks_at.setdefault(check.clock_pin, []).append(i)
+
+    def _index_report(self) -> None:
+        """Take the records of ``sta.report`` without re-evaluating any:
+        one per check (by position in ``graph.checks``) and per output
+        port (by position in ``graph.output_port_refs()``), None where
+        no data arrives, and the slew violations by pin.
+
+        The timer keeps copies: a caller that mutates a report it was
+        handed cannot reach the records later reports are built from.
+        """
+        sta = self.sta
+        report = sta.report
+        position = {id(check): i for i, check in enumerate(sta.graph.checks)}
+        self._check_records: List[Optional[EndpointResult]] = \
+            [None] * len(sta.graph.checks)
+        self._output_records: List[Optional[EndpointResult]] = \
+            [None] * len(self._output_pos)
+        for record in chain(report.setup, report.hold):
+            if record.kind == "output":
+                index = self._output_pos[record.endpoint]
+                self._output_records[index] = copy(record)
+            else:
+                self._check_records[position[id(record.check)]] = \
+                    copy(record)
+        self._slews: Dict[PinRef, SlewViolation] = {
+            v.ref: copy(v) for v in report.slew_violations
+        }
+        self._indexed = report
+
+    def _refresh_records(self, affected: Set[PinRef],
+                         cone: List[PinRef]) -> Tuple[int, int]:
+        """Re-evaluate the records an update's cone reaches: the checks
+        with a data or clock pin in ``affected``, and the output ports
+        and the slews of the pins in ``cone`` (``affected`` in
+        topological order). Returns the number of endpoint records
+        evaluated and of pins slew-checked.
+        """
+        sta = self.sta
+        default = sta._default_max_transition()
+        pins = [ref for ref in cone if not ref.is_port]
+        for ref in pins:
+            violation = sta._slew_record(ref, default)
+            if violation is None:
+                self._slews.pop(ref, None)
+            else:
+                self._slews[ref] = violation
+        if not sta.constraints.clocks:
+            return 0, len(pins)
+        checks = {i for ref in affected for i in self._checks_at.get(ref, ())}
+        for i in checks:
+            check = sta.graph.checks[i]
+            self._check_records[i] = (
+                sta._setup_record(check) if check.is_setup
+                else sta._hold_record(check)
+            )
+        clock = sta.constraints.primary_clock()
+        outputs = [ref for ref in cone if ref in self._output_pos]
+        for ref in outputs:
+            self._output_records[self._output_pos[ref]] = \
+                sta._output_record(ref, clock)
+        return len(checks) + len(outputs), len(pins)
+
+    def _assemble(self) -> TimingReport:
+        """A report of copies of the held records, in the order a full
+        run lists them."""
+        checks = [r for r in self._check_records if r is not None]
+        setup = [copy(r) for r in checks if r.kind == "setup"]
+        setup += [copy(r) for r in self._output_records if r is not None]
+        hold = [copy(r) for r in checks if r.kind == "hold"]
+        pos = self._topo_pos
+        slews = [copy(v) for v in
+                 sorted(self._slews.values(), key=lambda v: pos[v.ref])]
+        return self.sta._report(setup, hold, slews)

@@ -181,13 +181,7 @@ def kernel_full_run(sta: STA) -> Tuple[TimingReport, "CompiledKernel"]:
     kernel.run()
     sta.si_delta = kernel.si_delta_for(0)
     sta.prop = kernel.materialize_prop(0)
-    report = TimingReport(
-        setup=sta._setup_endpoints() + sta._output_endpoints(),
-        hold=sta._hold_endpoints(),
-        slew_violations=sta._slew_violations(),
-        scenario=sta.library.name,
-    )
-    return report, kernel
+    return sta._report(), kernel
 
 
 def run_on_engine(sta: STA, engine: str, name: str,
@@ -1080,12 +1074,7 @@ class CompiledKernel:
         """The corner's timing report, bit-compatible with
         :meth:`STA.run` (scenario field = library name, as there)."""
         view = self.view(ci)
-        report = TimingReport(
-            setup=view._setup_endpoints() + view._output_endpoints(),
-            hold=view._hold_endpoints(),
-            slew_violations=self._slew_violations(ci),
-            scenario=view.library.name,
-        )
+        report = view._report(slew_violations=self._slew_violations(ci))
         view.report = report
         return report
 

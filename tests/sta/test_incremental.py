@@ -6,9 +6,12 @@ import pytest
 
 from repro.errors import TimingError
 from repro.liberty import make_library
+from repro.liberty.arcs import TimingArc
+from repro.netlist.design import PinRef
 from repro.netlist.generators import random_logic
 from repro.netlist.transforms import swap_vt, upsize
 from repro.sta import STA, Constraints
+from repro.sta.graph import NetEdge
 from repro.sta.incremental import IncrementalTimer
 from repro.sta.scheduler import ScenarioResultCache
 
@@ -113,6 +116,54 @@ class TestEfficiency:
         assert 0 < timer.last_cone_size < \
             0.5 * len(sta.graph.topo_order)
 
+    def test_cone_update_evaluates_only_the_checks_it_reaches(
+            self, lib, monkeypatch):
+        """A cone update re-evaluates the checks whose data or clock pin
+        the cone reaches, not every check of the design."""
+        design, sta = fresh_setup(lib)
+        timer = IncrementalTimer(sta)
+        worst = sta.report.worst("setup")
+        path = sta.worst_path(worst)
+        name = [p for p in path.points
+                if p.kind == "cell" and not p.ref.is_port][-1].ref.instance
+        if not swap_vt(design, lib, name, "lvt"):
+            upsize(design, lib, name)
+
+        # The cone, found independently: the edited cell's pins and its
+        # input nets' drivers, closed under fan-out.
+        inst = design.instance(name)
+        cone = set()
+        for pin in lib.cell(inst.cell_name).pins:
+            cone.add(PinRef(name, pin))
+            driver = design.get_net(inst.net_of(pin)).driver
+            if driver is not None and not driver.is_port:
+                cone.add(driver)
+        frontier = list(cone)
+        while frontier:
+            for edge in sta.graph.out_edges.get(frontier.pop(), []):
+                dst = edge.sink if isinstance(edge, NetEdge) else edge.dst
+                if dst not in cone:
+                    cone.add(dst)
+                    frontier.append(dst)
+        reached = [c for c in sta.graph.checks
+                   if c.data_pin in cone or c.clock_pin in cone]
+        assert len(reached) < len(sta.graph.checks) // 4
+
+        calls = []
+        original = TimingArc.constraint_value
+
+        def counting(arc, *args, **kwargs):
+            calls.append(arc)
+            return original(arc, *args, **kwargs)
+
+        monkeypatch.setattr(TimingArc, "constraint_value", counting)
+        report = timer.update_cells([name])
+        monkeypatch.undo()
+        assert timer.last_cone_size == len(cone)
+        assert 0 < len(calls) <= 2 * len(reached)
+        assert report.render_full() == \
+            STA(design, lib, sta.constraints).run().render_full()
+
     def test_incremental_faster_than_rebuild(self, lib):
         design, sta = fresh_setup(lib, n_gates=600, seed=9)
         timer = IncrementalTimer(sta)
@@ -191,6 +242,61 @@ class TestSiDeltas:
         out_net = inst.net_of("ZN")
         assert sta.si_delta.get(out_net, 0.0) == \
             pytest.approx(reference.si_delta.get(out_net, 0.0), abs=1e-12)
+
+
+class TestOwnership:
+    """Each report owns its records: reports share no endpoint or slew
+    object, so mutating one (as cache corruption does) cannot reach the
+    next."""
+
+    @staticmethod
+    def _record_ids(report):
+        return {id(r) for r in report.setup + report.hold
+                + report.slew_violations}
+
+    def _tight_setup(self, lib):
+        design = random_logic(n_gates=220, n_levels=8, seed=3)
+        constraints = Constraints.single_clock(520.0)
+        constraints.input_delays = {f"in{i}": 60.0 for i in range(32)}
+        constraints.max_transition = 60.0
+        sta = STA(design, lib, constraints)
+        sta.report = sta.run()
+        assert sta.report.slew_violations
+        return design, sta
+
+    def test_update_shares_no_record_with_the_previous_report(self, lib):
+        design, sta = self._tight_setup(lib)
+        timer = IncrementalTimer(sta)
+        previous = sta.report
+        names = [i.name for i in design.combinational_instances(lib)]
+        for name in names[:3]:
+            assert swap_vt(design, lib, name, "lvt") or \
+                upsize(design, lib, name)
+            report = timer.update_cells([name])
+            assert not self._record_ids(report) & \
+                self._record_ids(previous)
+            previous = report
+
+    def test_mutated_report_does_not_leak_into_the_next(self, lib):
+        design, sta = self._tight_setup(lib)
+        timer = IncrementalTimer(sta)
+        names = [i.name for i in design.combinational_instances(lib)]
+
+        def corrupt(report):
+            for record in report.setup + report.hold:
+                record.slack = -1e6
+                record.startpoint = None
+            for violation in report.slew_violations:
+                violation.slew = 1e6
+
+        corrupt(sta.report)  # the full run's report, indexed at build
+        for name in (names[0], names[-1]):
+            assert swap_vt(design, lib, name, "lvt") or \
+                upsize(design, lib, name)
+            report = timer.update_cells([name])
+            assert report.render_full() == \
+                STA(design, lib, sta.constraints).run().render_full()
+            corrupt(report)
 
 
 class TestNoOpUpdate:

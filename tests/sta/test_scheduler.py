@@ -140,12 +140,16 @@ class TestDeterminism:
             return report
 
         monkeypatch.setattr(Scenario, "run", recording)
+        # Attempts take 1-1.6 s on an idle 2-core machine. The budget
+        # is over 3x that, so a busy machine does not time out the
+        # retries too; the hang outlasts it by 0.2 s, so attempt 1 is
+        # still abandoned and wakes while its retry runs.
         injector = FaultInjector(FaultPlan.of(
-            Fault("hang", task="tt_typ", seconds=2.7)
+            Fault("hang", task="tt_typ", seconds=5.2)
         ))
         out = SignoffScheduler(
             scenarios, jobs=3, executor="thread",
-            policy=RetryPolicy(retries=2, timeout_s=2.5, backoff_s=0.0),
+            policy=RetryPolicy(retries=2, timeout_s=5.0, backoff_s=0.0),
             fault_injector=injector,
         ).signoff(design)
         assert out.records["tt_typ"].status is ScenarioStatus.RETRIED
