@@ -582,7 +582,6 @@ class CampaignRunner:
         chunk: configs per wave — the durability granularity (results
             commit between waves).
         daemon: a :class:`DaemonTarget` for ``--via-daemon`` dispatch.
-        allow_fallback: executor downgrade on pool death.
         on_event: supervision event callback (also collected on
             outcomes).
     """
@@ -596,7 +595,6 @@ class CampaignRunner:
         policy: Optional[RetryPolicy] = None,
         chunk: int = 8,
         daemon: Optional[DaemonTarget] = None,
-        allow_fallback: bool = True,
         on_event=None,
     ):
         if chunk < 1:
@@ -612,7 +610,6 @@ class CampaignRunner:
         self.policy = policy or RetryPolicy(retries=1)
         self.chunk = chunk
         self.daemon = daemon
-        self.allow_fallback = allow_fallback
         self.on_event = on_event
 
     def _events_into(self, sink: List[str]):
@@ -669,7 +666,6 @@ class CampaignRunner:
                     executor = SupervisedExecutor(
                         jobs=self.jobs, executor=self.executor,
                         policy=self.policy,
-                        allow_fallback=self.allow_fallback,
                         on_event=self._events_into(outcome.events),
                     )
                     tasks = [

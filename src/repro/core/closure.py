@@ -28,9 +28,8 @@ iterations" — hence the default ``max_iterations=5`` and the
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.beol.corners import BeolCorner
 from repro.beol.stack import BeolStack
@@ -42,7 +41,11 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import tracing as obs_tracing
 from repro.obs.tracing import Tracer
 from repro.runtime.journal import RunJournal
-from repro.runtime.supervisor import RetryPolicy
+from repro.runtime.supervisor import (
+    RetryPolicy,
+    SupervisedExecutor,
+    SupervisedTask,
+)
 from repro.sta.analysis import STA
 from repro.sta.constraints import Constraints
 from repro.sta.incremental import TIMER_STATE_VERSION
@@ -273,10 +276,12 @@ class ClosureReport:
 class ClosureEngine:
     """Drives the Fig 1 loop for one design and scenario.
 
-    The loop is supervised: an STA pass that crashes is retried per
-    ``policy`` (with backoff) before the loop gives up; a loop that
-    still cannot analyze returns its partial trajectory with
-    :attr:`ClosureReport.aborted` set instead of losing everything.
+    The loop is supervised: each timing pass runs as one task on a
+    serial :class:`~repro.runtime.supervisor.SupervisedExecutor`, so a
+    pass that crashes is retried per ``policy`` (with backoff) before
+    the loop gives up; a loop that still cannot analyze returns its
+    partial trajectory with :attr:`ClosureReport.aborted` set instead
+    of losing everything. A policy with ``timeout_s`` is refused.
     With a ``journal``, each completed iteration checkpoints the
     (records, design) state to disk, and ``run(..., resume=True)``
     continues a killed run from its last completed iteration — only the
@@ -308,6 +313,13 @@ class ClosureEngine:
         self.derates = derates
         self.si_enabled = si_enabled
         self.policy = policy or RetryPolicy(retries=0)
+        if self.policy.timeout_s is not None:
+            # A timed-out attempt is abandoned, not stopped: it would go
+            # on editing the live design and timers under its retry.
+            raise ClosureError(
+                "closure timing passes cannot take a timeout_s",
+                timeout_s=self.policy.timeout_s,
+            )
         self.journal = journal
         self.fault_injector = fault_injector
         #: Warm per-scenario incremental timers (timing="incremental").
@@ -359,31 +371,40 @@ class ClosureEngine:
             si_enabled=self.si_enabled,
         )
 
+    def _supervised(self, label: str,
+                    attempt: Callable[[None, int], object]):
+        """Run one timing pass's ``attempt(None, n)`` on a serial
+        :class:`SupervisedExecutor`: retry with backoff per ``policy``,
+        counted in the ``supervisor.*`` metrics. Returns the
+        :class:`TaskExecution`; exhaustion raises :class:`ClosureError`."""
+        (execution,) = SupervisedExecutor(
+            executor="serial", policy=self.policy,
+        ).run([SupervisedTask(label, attempt)])
+        self.sta_attempts += execution.attempts
+        if not execution.ok:
+            last = execution.error_chain[-1].split(": ", 1)[1]
+            raise ClosureError(
+                f"STA failed after {execution.attempts} attempt(s): {last}",
+                stage=label,
+                attempts=execution.attempts,
+            )
+        self.sta_runs += 1
+        return execution
+
     def _run_sta(self, label: str = "sta") -> STA:
-        """One supervised STA pass: retry with backoff on crashes."""
-        last_error: Optional[Exception] = None
+        """One supervised STA pass: build and run a fresh STA."""
+
+        def attempt(_payload, attempt_no: int) -> STA:
+            if self.fault_injector is not None:
+                self.fault_injector.fire(label, attempt_no)
+            sta = self._build_sta()
+            run_on_engine(sta, self.timer_pool.engine, label)
+            return sta
+
         with obs_tracing.span("sta_build", label=label) as build_span:
-            for attempt in range(1, self.policy.max_attempts + 1):
-                self.sta_attempts += 1
-                try:
-                    if self.fault_injector is not None:
-                        self.fault_injector.fire(label, attempt)
-                    sta = self._build_sta()
-                    run_on_engine(sta, self.timer_pool.engine, label)
-                except Exception as exc:  # noqa: BLE001 - quarantined below
-                    last_error = exc
-                    if attempt < self.policy.max_attempts:
-                        time.sleep(self.policy.delay(attempt))
-                    continue
-                self.sta_runs += 1
-                build_span.set(attempts=attempt)
-                return sta
-        raise ClosureError(
-            f"STA failed after {self.policy.max_attempts} attempt(s): "
-            f"{type(last_error).__name__}: {last_error}",
-            stage=label,
-            attempts=self.policy.max_attempts,
-        )
+            execution = self._supervised(label, attempt)
+            build_span.set(attempts=execution.attempts)
+        return execution.result
 
     def _retime(
         self,
@@ -395,41 +416,29 @@ class ClosureEngine:
         """One supervised warm retime through the timer pool.
 
         Returns ``(report, engine_used)`` where ``engine_used`` is
-        "incremental" or "full". A crashed attempt discards the warm
-        timer (its mid-update state is not trusted) so the retry
+        "incremental" or "full". A retry first discards the warm timer
+        (the failed attempt's mid-update state is not trusted), so it
         rebuilds from scratch; exhaustion raises :class:`ClosureError`
         exactly like :meth:`_run_sta`.
         """
         pool = self.timer_pool
-        last_error: Optional[Exception] = None
-        for attempt in range(1, self.policy.max_attempts + 1):
-            self.sta_attempts += 1
-            try:
-                if self.fault_injector is not None:
-                    self.fault_injector.fire(label, attempt)
-                before = pool.incremental_retimes
-                report = pool.retime(
-                    scenario_name,
-                    edited_instances=swapped,
-                    topology_changed=topology_changed,
-                    build=self._build_sta,
-                )
-            except Exception as exc:  # noqa: BLE001 - quarantined below
-                last_error = exc
+
+        def attempt(_payload, attempt_no: int) -> Tuple[TimingReport, str]:
+            if attempt_no > 1:
                 pool.discard(scenario_name)
-                if attempt < self.policy.max_attempts:
-                    time.sleep(self.policy.delay(attempt))
-                continue
-            self.sta_runs += 1
-            engine = ("incremental" if pool.incremental_retimes > before
-                      else "full")
-            return report, engine
-        raise ClosureError(
-            f"STA failed after {self.policy.max_attempts} attempt(s): "
-            f"{type(last_error).__name__}: {last_error}",
-            stage=label,
-            attempts=self.policy.max_attempts,
-        )
+            if self.fault_injector is not None:
+                self.fault_injector.fire(label, attempt_no)
+            before = pool.incremental_retimes
+            report = pool.retime(
+                scenario_name,
+                edited_instances=swapped,
+                topology_changed=topology_changed,
+                build=self._build_sta,
+            )
+            return report, ("incremental"
+                            if pool.incremental_retimes > before else "full")
+
+        return self._supervised(label, attempt).result
 
     def run(self, config: Optional[ClosureConfig] = None,
             resume: bool = False) -> ClosureReport:

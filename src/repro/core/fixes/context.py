@@ -37,12 +37,6 @@ class FixContext:
             out.append(self.sta.worst_path(endpoint))
         return out
 
-    def worst_hold_paths(self) -> List[TimingPath]:
-        out = []
-        for endpoint in self.report.violations("hold")[: self.endpoint_limit]:
-            out.append(self.sta.worst_path(endpoint))
-        return out
-
     def cell_points(self, path: TimingPath, largest_first: bool = True):
         """The cell-stage points of a path, optionally by delay impact."""
         points = [p for p in path.points if p.kind == "cell" and not p.ref.is_port]

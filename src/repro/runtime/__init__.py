@@ -20,7 +20,6 @@ from repro.runtime.supervisor import (
     SupervisedTask,
     TaskExecution,
     TaskStatus,
-    supervised_call,
 )
 
 __all__ = [
@@ -30,5 +29,4 @@ __all__ = [
     "SupervisedTask",
     "TaskExecution",
     "TaskStatus",
-    "supervised_call",
 ]

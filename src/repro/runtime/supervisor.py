@@ -193,63 +193,6 @@ def _call_in_thread(fn, payload, attempt, timeout_s):
     return box["result"]
 
 
-def supervised_call(
-    fn: Callable[[Any, int], Any],
-    policy: RetryPolicy,
-    name: str = "task",
-    sleep: Callable[[float], None] = time.sleep,
-    on_event: Optional[Callable[[str], None]] = None,
-):
-    """Run one ``fn(payload=None, attempt)`` under retry/timeout supervision.
-
-    The single-task, in-process counterpart of :class:`SupervisedExecutor`
-    — used where a caller (e.g. the serving daemon handling one request)
-    needs the same semantics without batch fan-out: each attempt gets
-    ``policy.timeout_s`` of wall clock (a timed-out attempt is abandoned,
-    exactly like a pool worker), failed attempts retry with backoff, and
-    an exhausted budget raises :class:`~repro.errors.TaskDegradedError`
-    carrying the error chain. The *caller* must ensure ``fn`` operates on
-    state that tolerates an abandoned attempt still running (the daemon
-    serializes per-session work for exactly this reason).
-    """
-    error_chain: List[str] = []
-    last: Optional[Exception] = None
-    for attempt in range(1, policy.max_attempts + 1):
-        try:
-            if policy.timeout_s is not None:
-                return _call_in_thread(fn, None, attempt, policy.timeout_s)
-            return fn(None, attempt)
-        except Exception as exc:  # noqa: BLE001 - chained below
-            if not isinstance(exc, ExecutionError):
-                exc = WorkerCrashError(
-                    f"worker crashed: {type(exc).__name__}: {exc}"
-                )
-            exc.with_context(task=name, attempt=attempt)
-            last = exc
-            error_chain.append(
-                f"attempt {attempt}: {type(exc).__name__}: {exc.message}"
-            )
-            if isinstance(exc, WorkerTimeoutError):
-                obs_metrics.inc("supervisor.timeouts")
-            if attempt >= policy.max_attempts:
-                break
-            if on_event is not None:
-                on_event(f"retry {name}: attempt {attempt} failed "
-                         f"({type(exc).__name__})")
-            obs_metrics.inc("supervisor.retries")
-            sleep(policy.delay(attempt))
-    obs_metrics.inc("supervisor.quarantines")
-    degraded = TaskDegradedError(
-        f"quarantined after {policy.max_attempts} attempt(s): "
-        f"{last.message if last is not None else 'unknown failure'}",
-        task=name,
-        attempts=policy.max_attempts,
-        cause=type(last).__name__ if last is not None else "unknown",
-    )
-    degraded.error_chain = error_chain  # forensic chain for reporting
-    raise degraded
-
-
 class SupervisedExecutor:
     """Runs task batches under supervision (see module docstring).
 
@@ -257,8 +200,6 @@ class SupervisedExecutor:
         jobs: worker count (>= 1).
         executor: "process", "thread" or "serial".
         policy: retry/timeout policy; default :class:`RetryPolicy`.
-        allow_fallback: downgrade the executor on pool death instead of
-            raising :class:`~repro.errors.ExecutorBrokenError`.
         sleep: injectable sleep (tests replace it to make backoff free).
         on_event: optional callback receiving human-readable supervision
             events (retries, fallbacks, quarantines).
@@ -269,7 +210,6 @@ class SupervisedExecutor:
         jobs: int = 1,
         executor: str = "thread",
         policy: Optional[RetryPolicy] = None,
-        allow_fallback: bool = True,
         sleep: Callable[[float], None] = time.sleep,
         on_event: Optional[Callable[[str], None]] = None,
     ):
@@ -283,7 +223,6 @@ class SupervisedExecutor:
         self.jobs = jobs
         self.executor = executor
         self.policy = policy or RetryPolicy()
-        self.allow_fallback = allow_fallback
         self.sleep = sleep
         self.on_event = on_event
         #: executor transitions taken this run, e.g. ["process->thread"].
@@ -514,11 +453,6 @@ class SupervisedExecutor:
                             "starting a fresh pool")
                 continue
             nxt = FALLBACK_ORDER[flavor]
-            if not self.allow_fallback or nxt is None:
-                raise ExecutorBrokenError(
-                    f"{flavor} pool died and fallback is disabled",
-                    executor=flavor,
-                )
             self.fallbacks.append(f"{flavor}->{nxt}")
             self._event(f"executor fallback: {flavor} -> {nxt}")
             obs_metrics.inc("supervisor.fallbacks")

@@ -16,13 +16,14 @@ Robustness properties, in the order a failing component meets them:
   — health checks must work especially well under overload. Daemon
   memory is bounded by construction: frames are size-capped, the queue
   is depth-capped, reader threads hold at most one frame each.
-- **Deadlines and retries** — each admitted request runs under
-  :func:`~repro.runtime.supervisor.supervised_call` with the daemon's
-  :class:`~repro.runtime.supervisor.RetryPolicy`; a per-request
-  ``deadline_s`` tightens the attempt budget further. A timed-out
-  attempt is abandoned (never joined) and the *session* swaps in fresh
-  runtime objects before any retry, so a zombie attempt can only touch
-  state nothing else references.
+- **Deadlines and retries** — each admitted request runs as one task
+  on a serial :class:`~repro.runtime.supervisor.SupervisedExecutor`
+  under the daemon's :class:`~repro.runtime.supervisor.RetryPolicy`,
+  the same retry loop as signoff fan-out; a per-request ``deadline_s``
+  tightens the attempt budget further. A timed-out attempt is abandoned
+  (never joined) and the *session* swaps in fresh runtime objects
+  before any retry, so a zombie attempt can only touch state nothing
+  else references.
 - **Containment** — a handler crash that exhausts its retry budget
   quarantines the session (structured ``E_QUARANTINED`` thereafter,
   until the client discards), never the daemon. Sessionless queries run
@@ -62,14 +63,18 @@ from repro.errors import (
     ReproError,
     ServeError,
     SessionQuarantinedError,
-    TaskDegradedError,
     TimingError,
 )
 from repro.netlist.design import Design
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing as obs_tracing
 from repro.runtime.journal import RunJournal
-from repro.runtime.supervisor import RetryPolicy, supervised_call
+from repro.runtime.supervisor import (
+    RetryPolicy,
+    SupervisedExecutor,
+    SupervisedTask,
+    TaskExecution,
+)
 from repro.serve import protocol
 from repro.serve.admission import AdmissionQueue
 from repro.serve.overlay import OverlayEdit
@@ -143,8 +148,9 @@ class DaemonConfig:
     def __post_init__(self):
         if self.workers < 1:
             raise TimingError("daemon needs at least one worker")
-        if self.retries < 0:
-            raise TimingError("retries must be >= 0")
+        # Every request builds its policy from these two settings; an
+        # invalid one is the operator's error, refused at startup.
+        RetryPolicy(retries=self.retries, timeout_s=self.timeout_s)
 
 
 class _Connection:
@@ -551,18 +557,17 @@ class TimingDaemon:
                     except _CLIENT_FAULTS as exc:
                         return _ClientFault(exc)
 
+                task = SupervisedTask(f"{op}:{sid or SHARED_SESSION_ID}",
+                                      attempt)
                 with session.lock:
-                    result = supervised_call(
-                        attempt, policy,
-                        name=f"{op}:{sid or SHARED_SESSION_ID}",
-                    )
+                    (execution,) = SupervisedExecutor(
+                        executor="serial", policy=policy,
+                    ).run([task])
+                if not execution.ok:
+                    raise self._degrade(execution, sid)
+                result = execution.result
                 if isinstance(result, _ClientFault):
                     raise result.error
-            except TaskDegradedError as exc:
-                self.failures += 1
-                conn.send(protocol.error_response(
-                    request_id, self._degrade(exc, sid)))
-                return
             except (ServeError, ReproError) as exc:
                 self.failures += 1
                 conn.send(protocol.error_response(
@@ -574,7 +579,7 @@ class TimingDaemon:
                 )
         conn.send(protocol.ok_response(request_id, result))
 
-    def _degrade(self, exc: TaskDegradedError,
+    def _degrade(self, execution: TaskExecution,
                  sid: Optional[str]) -> ServeError:
         """Triage an exhausted retry budget into the right wire error.
 
@@ -585,14 +590,15 @@ class TimingDaemon:
         shared sessionless context, which resets instead (quarantining
         it would take the daemon down for every anonymous client).
         """
-        cause = exc.context.get("cause")
-        chain = list(getattr(exc, "error_chain", []))
+        exc = execution.error
+        cause = exc.context["cause"]
+        chain = "; ".join(execution.error_chain)
         if cause == "WorkerTimeoutError":
             error = DeadlineExceededError(
                 "request exceeded its time budget",
-                attempts=exc.context.get("attempts"),
+                attempts=exc.context["attempts"],
             )
-            error.context["chain"] = "; ".join(chain)
+            error.context["chain"] = chain
             return error
         self.quarantines += 1
         obs_metrics.inc("serve.quarantines")
@@ -608,7 +614,7 @@ class TimingDaemon:
                 "session quarantined after repeated worker failures",
                 session=sid, cause=cause,
             )
-        error.context["chain"] = "; ".join(chain)
+        error.context["chain"] = chain
         return error
 
     # ------------------------------------------------------------------ #

@@ -20,7 +20,8 @@ foundry models. This package provides the closest from-scratch equivalent:
   (INV/NAND/NOR/AOI/OAI and a six-NAND edge-triggered flip-flop);
 - :mod:`repro.spice.testbench` — canned testbenches for arc delay, SIS/MIS
   comparison and flop characterization;
-- :mod:`repro.spice.montecarlo` — per-device process-variation sampling.
+- :mod:`repro.spice.montecarlo` — seed-spawned, supervised batch
+  evaluation of Monte Carlo samples.
 """
 
 from repro.spice.devices import MosParams, Transistor, NMOS_16NM, PMOS_16NM, vt_flavor_params

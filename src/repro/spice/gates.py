@@ -35,12 +35,6 @@ class GateInstance:
     output: str
     transistors: List[Transistor] = field(default_factory=list)
 
-    def apply_variation(self, vt_shift: float = 0.0, k_scale: float = 1.0) -> None:
-        """Shift thresholds / scale current of every device in the gate."""
-        for t in self.transistors:
-            t.vt_shift += vt_shift
-            t.k_scale *= k_scale
-
 
 def _attach(circuit: Circuit, fet: Transistor) -> Transistor:
     """Add parasitic gate and junction caps for a placed transistor."""

@@ -1,18 +1,16 @@
-"""Process-variation sampling for device-level Monte Carlo studies.
+"""Deterministic batch evaluation of Monte Carlo samples.
 
-Variation is decomposed the way signoff methodology decomposes it (and the
-way the paper's SSG-vs-SS discussion frames it): a *global* (die-to-die)
-component shared by every device of a polarity, plus a *local* (on-die
-mismatch) component independent per device. Only two device knobs are
-perturbed — threshold shift and current-factor scale — matching the
-``vt_shift`` / ``k_scale`` hooks of :class:`repro.spice.devices.Transistor`.
+Every sample draws from its own generator, spawned from the master seed
+by sample index, and runs as one supervised task; the results are
+therefore identical for any ``jobs`` count or executor flavor. The
+device-level Monte Carlo (:mod:`repro.variation.montecarlo`) fans its
+path-delay samples out through :func:`evaluate_samples`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
-from typing import Callable, List, Sequence
+from typing import Callable, List
 
 import numpy as np
 
@@ -21,61 +19,6 @@ from repro.runtime.supervisor import (
     SupervisedExecutor,
     SupervisedTask,
 )
-from repro.spice.network import Circuit
-
-
-@dataclass(frozen=True)
-class VariationSpec:
-    """Standard deviations of the variation components.
-
-    Attributes:
-        sigma_vt_global: die-to-die threshold sigma, volts.
-        sigma_vt_local: per-device mismatch threshold sigma, volts. Scaled
-            by ``1/sqrt(width)`` per Pelgrom's law.
-        sigma_k_global: die-to-die relative current-factor sigma.
-        sigma_k_local: per-device relative current-factor sigma, also
-            Pelgrom-scaled.
-    """
-
-    sigma_vt_global: float = 0.015
-    sigma_vt_local: float = 0.020
-    sigma_k_global: float = 0.03
-    sigma_k_local: float = 0.02
-
-
-def perturb_circuit(
-    circuit: Circuit,
-    rng: np.random.Generator,
-    spec: VariationSpec = VariationSpec(),
-) -> None:
-    """Apply one Monte Carlo sample to every transistor, in place.
-
-    Global components are sampled once per polarity (NMOS and PMOS vary
-    independently die-to-die); local components once per device.
-    """
-    g_vt = {+1: rng.normal(0.0, spec.sigma_vt_global),
-            -1: rng.normal(0.0, spec.sigma_vt_global)}
-    g_k = {+1: rng.normal(0.0, spec.sigma_k_global),
-           -1: rng.normal(0.0, spec.sigma_k_global)}
-    for fet in circuit.transistors:
-        pol = fet.params.polarity
-        pelgrom = 1.0 / np.sqrt(max(fet.width, 1e-6))
-        fet.vt_shift += g_vt[pol] + rng.normal(0.0, spec.sigma_vt_local * pelgrom)
-        fet.k_scale *= max(
-            0.05,
-            1.0 + g_k[pol] + rng.normal(0.0, spec.sigma_k_local * pelgrom),
-        )
-
-
-def reset_variation(circuit: Circuit) -> None:
-    """Remove all variation (restore nominal vt_shift/k_scale)."""
-    for fet in circuit.transistors:
-        fet.vt_shift = 0.0
-        fet.k_scale = 1.0
-
-
-# ---------------------------------------------------------------------- #
-# deterministic batch evaluation
 
 
 def sample_seeds(seed: int, n_samples: int) -> List[np.random.SeedSequence]:

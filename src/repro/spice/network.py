@@ -129,10 +129,6 @@ class Circuit:
         """Nodes whose voltage the solver must compute."""
         return [n for n in self._nodes if n != GROUND and n not in self.sources]
 
-    def total_gate_width(self) -> float:
-        """Sum of transistor widths (a proxy for cell area/input load)."""
-        return sum(t.width for t in self.transistors)
-
     def __repr__(self) -> str:
         return (
             f"Circuit({self.name!r}, nodes={len(self._nodes)}, "

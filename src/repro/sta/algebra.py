@@ -266,13 +266,6 @@ class CanonicalForm:
 
     # -- arithmetic ---------------------------------------------------- #
 
-    def _coerce(self, other) -> Optional["CanonicalForm"]:
-        if isinstance(other, CanonicalForm):
-            return other
-        if isinstance(other, (int, float)):
-            return CanonicalForm(float(other), np.zeros_like(self.coeffs))
-        return None
-
     def __add__(self, other):
         if isinstance(other, (int, float)):
             return CanonicalForm(self.mean + other, self.coeffs, self.indep)

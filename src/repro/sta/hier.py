@@ -491,7 +491,6 @@ class HierScheduler:
         etm_cache: Optional[ScenarioResultCache] = None,
         signoff_cache: Optional[ScenarioResultCache] = None,
         policy: Optional[RetryPolicy] = None,
-        allow_fallback: bool = True,
         strict: bool = True,
         engine: str = "reference",
     ):
@@ -518,7 +517,6 @@ class HierScheduler:
         self.etm_cache = etm_cache
         self.signoff_cache = signoff_cache
         self.policy = policy or RetryPolicy()
-        self.allow_fallback = allow_fallback
         self.strict = strict
         self.engine = engine
         #: Block STA extractions actually performed (cache misses after
@@ -592,7 +590,7 @@ class HierScheduler:
 
         supervisor = SupervisedExecutor(
             jobs=self.jobs, executor=self.executor, policy=self.policy,
-            allow_fallback=self.allow_fallback, on_event=events.append,
+            on_event=events.append,
         )
         with obs_tracing.span("etm_fanout", count=len(todo_keys)):
             executions = supervisor.run([
@@ -677,8 +675,7 @@ class HierScheduler:
                 executor="thread" if self.executor == "process"
                 else self.executor,
                 cache=self.signoff_cache, policy=self.policy,
-                keep_going=True, allow_fallback=self.allow_fallback,
-                engine=self.engine,
+                keep_going=True, engine=self.engine,
             )
             top_outcome = top.signoff(stub_design)
             degraded_scenarios.update(top_outcome.degraded)

@@ -78,12 +78,6 @@ class McmmResult:
             if len(row) == len(self.reports)
         }
 
-    def merged_endpoint_slacks(self, mode: str = "setup") -> Dict[PinRef, float]:
-        return {
-            ep: min(row.values())
-            for ep, row in self.endpoint_matrix(mode).items()
-        }
-
 
 class ScenarioSet:
     """A collection of scenarios with run and prune operations."""

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.netlist.design import PinRef
-from repro.sta.algebra import scalar_of, sigma_of
+from repro.sta.algebra import sigma_of
 from repro.sta.graph import TimingCheck
 
 
@@ -96,13 +96,6 @@ class EndpointResult:
     @property
     def violated(self) -> bool:
         return self.slack < 0.0
-
-    @property
-    def slack_mean(self) -> float:
-        """The deterministic slack (mean of the distribution when the
-        report came from a statistical algebra, the value itself for
-        plain floats)."""
-        return scalar_of(self.slack)
 
     @property
     def slack_sigma(self) -> float:

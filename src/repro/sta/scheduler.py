@@ -830,7 +830,6 @@ class SignoffScheduler:
             records every success first, so a re-run resumes).
         fault_injector: a :class:`repro.testing.faults.FaultInjector`
             firing planned faults inside workers (chaos testing).
-        allow_fallback: permit executor downgrade on pool death.
         engine: "reference" walks the object graph per scenario (the
             oracle); "vector" first times each mode (the scenarios that
             share a constraint set) as one supervised task that batches
@@ -854,7 +853,6 @@ class SignoffScheduler:
         journal: Optional[RunJournal] = None,
         keep_going: bool = True,
         fault_injector=None,
-        allow_fallback: bool = True,
         engine: str = "reference",
     ):
         if not scenarios:
@@ -881,7 +879,6 @@ class SignoffScheduler:
         self.journal = journal
         self.keep_going = keep_going
         self.fault_injector = fault_injector
-        self.allow_fallback = allow_fallback
         self.engine = engine
         #: Scenario STA evaluations actually performed (cache misses);
         #: the call counter the regression tests assert against.
@@ -1005,7 +1002,6 @@ class SignoffScheduler:
                 jobs=self.jobs,
                 executor=self.executor,
                 policy=RetryPolicy(retries=0, timeout_s=self.policy.timeout_s),
-                allow_fallback=self.allow_fallback,
                 on_event=mode_event,
             )
             ref_todo = []
@@ -1047,7 +1043,6 @@ class SignoffScheduler:
             jobs=self.jobs,
             executor=executor,
             policy=self.policy,
-            allow_fallback=self.allow_fallback,
             on_event=events.append,
         )
         with obs_tracing.span("scenario_fanout", count=len(ref_todo)):

@@ -414,12 +414,6 @@ class _PstEvaluator:
         lo = np.maximum(self.need[flop], -tau)
         return lo <= np.minimum(tau, self.head[flop])
 
-    def yield_for(self, tuned: Dict[str, float]) -> float:
-        ok = self.fixed_ok.copy()
-        for f in self.flops:
-            ok &= self.feasible(f, tuned.get(f, 0.0))
-        return float(ok.mean())
-
 
 def tune_to_yield(
     run: SstaRun,

@@ -7,6 +7,8 @@ from repro.core.closure import ClosureConfig, ClosureEngine
 from repro.errors import ClosureError
 from repro.liberty import make_library
 from repro.netlist.generators import random_logic
+from repro.obs import metrics as obs_metrics
+from repro.obs.metrics import MetricsRegistry
 from repro.runtime.journal import RunJournal
 from repro.runtime.supervisor import RetryPolicy
 from repro.sta import Constraints
@@ -42,6 +44,44 @@ class TestStaRetry:
         assert report.aborted is None
         assert report.iterations
         assert engine.sta_attempts == engine.sta_runs + 1
+
+    def test_transient_crash_counts_one_supervisor_retry(self, lib):
+        d, c = constrained_design()
+        injector = FaultInjector(FaultPlan.of(Fault("crash", task="iter1")))
+        engine = ClosureEngine(d, lib, c, policy=fast_policy(),
+                               fault_injector=injector)
+        registry = MetricsRegistry()
+        with obs_metrics.use(registry):
+            engine.run(ClosureConfig(**CONFIG))
+        assert registry.counter("supervisor.retries").value == 1
+        assert registry.counter("supervisor.quarantines").value == 0
+
+    def test_policy_with_timeout_is_rejected(self, lib):
+        d, c = constrained_design()
+        with pytest.raises(ClosureError, match="timeout_s"):
+            ClosureEngine(d, lib, c, policy=RetryPolicy(timeout_s=5.0))
+
+    def test_transient_retime_crash_keeps_the_trajectory(self, lib):
+        """An incremental retime that crashes once per call retries on a
+        rebuilt timer and lands on the fault-free trajectory."""
+        config = ClosureConfig(**CONFIG)
+        d, c = constrained_design()
+        clean = ClosureEngine(d, lib, c, policy=fast_policy()).run(config)
+        d, c = constrained_design()
+        injector = FaultInjector(FaultPlan.of(Fault("crash", task="iter2")))
+        engine = ClosureEngine(d, lib, c, policy=fast_policy(),
+                               fault_injector=injector)
+        report = engine.run(config)
+        assert report.aborted is None
+        assert engine.sta_attempts > engine.sta_runs
+        assert len(report.iterations) == len(clean.iterations) > 1
+        for got, want in zip(report.iterations, clean.iterations):
+            assert got.edits == want.edits
+            assert got.setup_violations == want.setup_violations
+            assert got.hold_violations == want.hold_violations
+            assert got.wns_setup == pytest.approx(want.wns_setup, abs=1e-9)
+            assert got.tns_setup == pytest.approx(want.tns_setup, abs=1e-9)
+        assert report.final_wns == pytest.approx(clean.final_wns, abs=1e-9)
 
     def test_initial_sta_failure_raises(self, lib):
         d, c = constrained_design()

@@ -192,12 +192,6 @@ class TestFallback:
         assert sup.fallbacks == ["thread->serial"]
         assert sup.executor_used == "serial"
 
-    def test_fallback_disabled_raises(self):
-        with pytest.raises(ExecutorBrokenError):
-            run_tasks(_breaks_pool_once, ["x"], jobs=2, executor="thread",
-                      allow_fallback=False,
-                      policy=RetryPolicy(retries=2, backoff_s=0.0))
-
     def test_serial_treats_pool_break_as_crash(self):
         # Serial has nowhere to fall back: the injected breakage is
         # charged as a normal attempt failure and retried in place.

@@ -22,7 +22,7 @@ run and one over a statistical (canonical-algebra) run.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from repro.cts.tree import synthesize_clock_tree
 from repro.liberty import make_library
@@ -95,7 +95,10 @@ def _fresh(sta):
 
 
 @pytest.mark.parametrize("si_enabled", [False, True])
-@settings(max_examples=6, deadline=None, derandomize=True)
+# No shrink phase: each shrink step builds a 220-gate design, which held
+# a failing run for minutes. The same examples still run.
+@settings(max_examples=6, deadline=None, derandomize=True,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(data=st.data())
 def test_random_eco_sequences_match_fresh_sta(lib, si_enabled, data):
     seed = data.draw(st.integers(min_value=1, max_value=4), label="seed")

@@ -22,7 +22,7 @@ GBA, never add it.
 import copy
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from repro.beol.corners import conventional_corners
 from repro.beol.stack import default_stack
@@ -257,7 +257,10 @@ class TestCpprEquivalence:
 
 
 class TestEcoEquivalence:
-    @settings(max_examples=4, deadline=None, derandomize=True)
+    # No shrink phase, as in test_incremental_equivalence: a shrink step
+    # rebuilds the design, so a failure would take minutes to report.
+    @settings(max_examples=4, deadline=None, derandomize=True,
+              phases=[Phase.explicit, Phase.reuse, Phase.generate])
     @given(data=st.data())
     def test_vector_timer_tracks_reference_through_ecos(self, libs, stack,
                                                         data):

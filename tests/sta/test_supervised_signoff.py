@@ -165,20 +165,6 @@ class TestFaultRecovery:
         self.assert_mode_fell_back(
             outcome, "ExecutorBrokenError: injected worker-pool death")
 
-    def test_pool_break_without_fallback_raises(self, lib, lib_ss):
-        from repro.errors import ExecutorBrokenError
-
-        scenarios = make_scenarios(lib, lib_ss)
-        injector = FaultInjector(
-            FaultPlan.of(Fault("pool_break", task="tt_typ"))
-        )
-        scheduler = self.signoff_scheduler(
-            scenarios, jobs=2, policy=fast_policy(),
-            fault_injector=injector, allow_fallback=False,
-        )
-        with pytest.raises(ExecutorBrokenError):
-            scheduler.signoff(make_design())
-
     def test_keep_going_false_raises_after_journaling(self, lib, lib_ss,
                                                       tmp_path):
         scenarios = make_scenarios(lib, lib_ss)

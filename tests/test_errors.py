@@ -146,6 +146,16 @@ class TestCliErrorPaths:
         assert code == EXIT_FATAL
         assert "error: TimingError: retries must be >= 0" in err
 
+    def test_serve_non_positive_timeout(self, capsys):
+        # Refused at startup, not reported to every client as a bad
+        # request.
+        code, _, err = self.run(
+            capsys, "serve", "--design", "tiny", "--timeout", "0",
+        )
+        assert code == EXIT_FATAL
+        assert "error: TimingError: timeout_s must be positive" in err
+        assert "Traceback" not in err
+
     def test_validation_error_lists_issues(self, capsys, tmp_path):
         """A failing pre-run lint prints every issue, not just the first."""
         from repro.liberty import make_library
