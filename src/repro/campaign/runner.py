@@ -355,10 +355,13 @@ def _config_payload_result(config: CampaignConfig,
 
     # The two scenarios run serially *inside* this worker (the campaign
     # fans out across configs, not within one) through the signoff
-    # scheduler, which is what honors the engine factor.
+    # scheduler, which is what honors the engine factor. A scenario that
+    # fails fails the config attempt: metrics over the survivors alone
+    # would record a partial signoff as ok.
     scheduler = SignoffScheduler(
         scenarios, jobs=1, executor="serial", cache=None,
         policy=RetryPolicy(retries=0), engine=levels["engine"],
+        keep_going=False,
     )
     with obs_tracing.span("campaign_signoff", config=config.index):
         outcome = scheduler.signoff(design)

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import List, Set
 
 from repro.liberty.library import Library
-from repro.netlist.design import Design, PinRef
+from repro.netlist.design import Design
 from repro.sta.analysis import STA
 from repro.sta.reports import TimingPath, TimingReport
 

@@ -6,7 +6,7 @@ into near-certain batch failures. This package converts those failures
 into bounded recovery cost instead of full reruns:
 
 - :mod:`repro.runtime.supervisor` — per-task timeouts, retry with
-  exponential backoff, crash quarantine (DEGRADED instead of abort) and
+  exponential backoff, DEGRADED tasks instead of an aborted batch and
   automatic executor fallback (process -> thread -> serial) when a pool
   itself dies.
 - :mod:`repro.runtime.journal` — an append-only on-disk journal so a

@@ -1,4 +1,4 @@
-"""Supervised task execution: timeouts, retries, quarantine, fallback.
+"""Supervised task execution: timeouts, retries, degradation, fallback.
 
 The supervisor runs a batch of independent tasks over a worker pool and
 guarantees the batch *completes* even when individual attempts crash,
@@ -7,9 +7,10 @@ hang, or the pool itself dies:
 - **Retry with exponential backoff** — a crashed or timed-out attempt is
   retried up to ``RetryPolicy.retries`` times, sleeping
   ``backoff_s * backoff_factor**(attempt-1)`` between attempts.
-- **Quarantine** — a task that exhausts every attempt is reported as
+- **Degradation** — a task that exhausts every attempt is reported as
   :attr:`TaskStatus.DEGRADED` with its structured error chain instead of
-  aborting the batch.
+  aborting the batch; what that means (a quarantine, a hand-off, an
+  abort) is the caller's to name and count.
 - **Executor fallback** — a broken pool (``BrokenExecutor``, or an
   :class:`~repro.errors.ExecutorBrokenError` surfaced by a worker)
   downgrades the executor (process -> thread -> serial) and resubmits
@@ -110,7 +111,7 @@ class RetryPolicy:
 class TaskStatus(enum.Enum):
     OK = "ok"            # succeeded on the first attempt
     RETRIED = "retried"  # succeeded after at least one failed attempt
-    DEGRADED = "degraded"  # exhausted every attempt; quarantined
+    DEGRADED = "degraded"  # exhausted every attempt; the caller decides
 
 
 @dataclass
@@ -146,7 +147,7 @@ class TaskExecution:
 
     @property
     def error_text(self) -> Optional[str]:
-        """The quarantine error as "ErrorClass: message" (None if ok)."""
+        """The degraded error as "ErrorClass: message" (None if ok)."""
         if self.error is None:
             return None
         return f"{type(self.error).__name__}: {self.error}"
@@ -202,7 +203,7 @@ class SupervisedExecutor:
         policy: retry/timeout policy; default :class:`RetryPolicy`.
         sleep: injectable sleep (tests replace it to make backoff free).
         on_event: optional callback receiving human-readable supervision
-            events (retries, fallbacks, quarantines).
+            events (retries, pool rebuilds, fallbacks).
     """
 
     def __init__(
@@ -239,7 +240,7 @@ class SupervisedExecutor:
     def _attempt_failed(self, execution: TaskExecution, attempt: int,
                         error: Exception,
                         queue: deque) -> None:
-        """Charge one failed attempt; requeue or quarantine."""
+        """Charge one failed attempt; requeue or mark it DEGRADED."""
         if not isinstance(error, ExecutionError):
             error = WorkerCrashError(
                 f"worker crashed: {type(error).__name__}: {error}"
@@ -259,11 +260,6 @@ class SupervisedExecutor:
                 attempts=attempt,
                 cause=type(error).__name__,
             )
-            self._event(
-                f"quarantine {execution.name}: degraded after "
-                f"{attempt} attempt(s)"
-            )
-            obs_metrics.inc("supervisor.quarantines")
             return
         self._event(
             f"retry {execution.name}: attempt {attempt} failed "

@@ -7,8 +7,8 @@ always present, fixed at 0 V.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List
 
 from repro.errors import SimulationError
 from repro.spice.devices import MosParams, Transistor

@@ -11,10 +11,10 @@ pessimistic at *every* endpoint (within a guard margin).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.beol.corners import BeolCorner, conventional_corners
+from repro.beol.corners import conventional_corners
 from repro.beol.stack import BeolStack, default_stack
 from repro.errors import TimingError
 from repro.liberty.library import Library

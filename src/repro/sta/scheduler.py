@@ -56,7 +56,6 @@ from repro.sta.constraints import Constraints
 from repro.sta.kernel import (
     ENGINES,
     CornerSpec,
-    KernelCompileError,
     compile_kernel,
     run_on_engine,
 )
@@ -658,9 +657,12 @@ def _run_mode_job(job, attempt: int = 1):
 
     Module-level so process pools can pickle it. Fires every lane's
     planned faults at the mode's attempt number first. Returns the
-    lanes' reports in lane order, or *returns* the
-    :class:`~repro.sta.kernel.KernelCompileError` of a refused compile:
-    a refusal is deterministic, so retrying it would only repeat it.
+    lanes' reports in lane order, or *returns* whatever the mode raised
+    (a lane's fault, a compile refusal, a kernel error) as the hand-off
+    text "attempt N: ErrorClass: message": its scenarios rejoin the
+    per-scenario fan-out, where a lane's fault fires once more in the
+    scenario's own task. The supervisor fails a mode only for a timeout
+    or a dead pool.
     """
     scenarios, design, stack, injector = job
     try:
@@ -674,16 +676,19 @@ def _run_mode_job(job, attempt: int = 1):
             stack=stack,
         )
         kernel.run()
-    except KernelCompileError as exc:
-        return exc
-    reports = []
-    for ci, scenario in enumerate(scenarios):
-        with obs_tracing.span("scenario", scenario=scenario.name,
-                              source="vector", attempt=attempt):
-            report = kernel.report(ci)
-            report.scenario = scenario.name
-            reports.append(report)
-    return reports
+        reports = []
+        for ci, scenario in enumerate(scenarios):
+            with obs_tracing.span("scenario", scenario=scenario.name,
+                                  source="vector", attempt=attempt):
+                report = kernel.report(ci)
+                report.scenario = scenario.name
+                reports.append(report)
+        return reports
+    except Exception as exc:  # noqa: BLE001 - handed off, not lost
+        # A ReproError's message drops its [context] suffix, as the
+        # supervisor's error-chain lines do.
+        return (f"attempt {attempt}: {type(exc).__name__}: "
+                f"{getattr(exc, 'message', exc)}")
 
 
 # ---------------------------------------------------------------------- #
@@ -991,18 +996,11 @@ class SignoffScheduler:
                 ).append((scenario, fp))
             groups = list(modes.values())
 
-            def mode_event(message: str) -> None:
-                # A failed mode is not quarantined: its scenarios rejoin
-                # the fan-out below, under the fallback event that
-                # names it.
-                if not message.startswith("quarantine "):
-                    events.append(message)
-
             mode_supervisor = SupervisedExecutor(
                 jobs=self.jobs,
                 executor=self.executor,
                 policy=RetryPolicy(retries=0, timeout_s=self.policy.timeout_s),
-                on_event=mode_event,
+                on_event=events.append,
             )
             ref_todo = []
             with obs_tracing.span("vector_signoff", modes=len(groups),
@@ -1019,13 +1017,12 @@ class SignoffScheduler:
                 for group, execution in zip(groups, executions):
                     self.attempts += len(group) * execution.attempts
                     result = execution.result
-                    if execution.ok and not isinstance(result,
-                                                       KernelCompileError):
+                    if execution.ok and not isinstance(result, str):
                         for (scenario, fp), report in zip(group, result):
                             absorb(scenario, fp, report, ScenarioStatus.OK)
                         continue
-                    error = (f"{type(result).__name__}: {result}"
-                             if execution.ok else execution.error_chain[-1])
+                    error = (result if execution.ok
+                             else execution.error_chain[-1])
                     obs_metrics.inc("kernel.fallbacks")
                     events.append(
                         "vector engine fell back to reference for "

@@ -161,10 +161,12 @@ class FaultInjector:
 
         Called by the vector engine's compile sites: the signoff
         scheduler's mode task, once per lane after that lane's worker
-        faults, and :func:`~repro.sta.kernel.run_on_engine` for a single
-        STA. Raises :class:`~repro.sta.kernel.KernelCompileError` exactly
-        like a real incongruent-library refusal, so production handling
-        (not a test-only path) absorbs it.
+        faults (the mode hands either off with its scenarios, which fire
+        their worker faults once more in their own tasks), and
+        :func:`~repro.sta.kernel.run_on_engine` for a single STA. Raises
+        :class:`~repro.sta.kernel.KernelCompileError` exactly like a real
+        incongruent-library refusal, so production handling (not a
+        test-only path) absorbs it.
         """
         fault = self.plan.for_task(task, attempt, scope="kernel")
         if fault is None:

@@ -213,6 +213,33 @@ class TestDegradedPath:
             assert [fp for fp in again.computed] == [victim]
             assert store.count("small") == 4
 
+    def test_failed_scenario_fails_the_config(self, tmp_path,
+                                              monkeypatch):
+        """A config whose aged scenario fails is a failure, not an ok
+        row scored on the nominal scenario alone."""
+        from repro.sta.mcmm import Scenario
+
+        real_run = Scenario.run
+
+        def aged_fails(scenario, design, stack):
+            if scenario.name == "ss_aged":
+                raise RuntimeError("injected scenario crash")
+            return real_run(scenario, design, stack)
+
+        monkeypatch.setattr(Scenario, "run", aged_fails)
+        spec = small_spec()
+        with CampaignStore(tmp_path / "c.db") as store:
+            outcome = make_runner(
+                spec, store,
+                policy=RetryPolicy(retries=1, backoff_s=0.0),
+            ).run(configs=spec.expand()[:1])
+            assert outcome.computed == []
+            assert len(outcome.degraded) == 1
+            assert store.count("small") == 0
+            (failure,) = store.failures("small")
+            assert failure["attempts"] == 2
+            assert "SignoffError" in failure["error"]
+
     def test_retry_policy_recovers_transients(self, tmp_path,
                                               monkeypatch):
         import repro.campaign.runner as runner_mod

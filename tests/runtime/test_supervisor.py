@@ -11,7 +11,9 @@ from repro.errors import (
     TaskDegradedError,
     TimingError,
 )
+from repro.obs import metrics as obs_metrics
 from repro.obs import tracing as obs_tracing
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer
 from repro.runtime.supervisor import (
     RetryPolicy,
@@ -109,6 +111,22 @@ class TestRetry:
         assert isinstance(e.error, TaskDegradedError)
         assert e.error.context["attempts"] == 3
         assert len(e.error_chain) == 3
+
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_exhausted_task_leaves_quarantine_to_its_caller(self,
+                                                            executor):
+        """The supervisor counts attempts; whether a DEGRADED task is a
+        quarantine, a hand-off or an abort is its caller's to say."""
+        events = []
+        registry = MetricsRegistry()
+        with obs_metrics.use(registry):
+            sup, execs = run_tasks(_always_fails, ["a"], executor=executor,
+                                   policy=RetryPolicy(retries=1),
+                                   on_event=events.append)
+        assert execs[0].status is TaskStatus.DEGRADED
+        assert events == ["retry t0: attempt 1 failed (WorkerCrashError)"]
+        assert registry.names() == ["supervisor.retries"]
+        assert registry.counter("supervisor.retries").value == 1
 
     def test_degraded_does_not_abort_batch(self):
         def one_bad(payload, attempt):

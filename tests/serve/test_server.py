@@ -3,7 +3,6 @@ degradation, containment and warm restart — all in-process."""
 
 import json
 import socket
-import threading
 import time
 
 import pytest

@@ -9,6 +9,8 @@ from repro.errors import TimingError
 from repro.liberty import LibraryCondition, make_library
 from repro.netlist.generators import random_logic
 from repro.netlist.transforms import upsize
+from repro.obs import metrics as obs_metrics
+from repro.obs.metrics import MetricsRegistry
 from repro.runtime.supervisor import RetryPolicy
 from repro.sta import STA, Constraints, IncrementalTimer
 from repro.sta.mcmm import Scenario, ScenarioSet
@@ -666,28 +668,49 @@ class TestEngineCacheParity:
         pytest.param(lambda names: FaultPlan.of(
             Fault("kernel_compile", task="ss_rcw"),
         ), id="kernel_compile"),
+        pytest.param(lambda names: FaultPlan.of(
+            Fault("hang", task="ss_cw", seconds=2.5),
+        ), id="hang"),
     ])
     def test_fault_plan_records_match_reference(self, lib, lib_ss, plan):
-        """A fault plan gives every scenario the same record on both
-        engines: a failed mode's scenarios rejoin the per-scenario
-        fan-out, which owns retry and quarantine on either engine."""
+        """A fault plan gives every scenario the same record, supervisor
+        counts and pool history on both engines and both pooled
+        executors: a failed mode's scenarios rejoin the per-scenario
+        fan-out, which owns retry, quarantine and pool breaks on either
+        engine. A hung mode reads one more timeout, its own."""
         names = [s.name for s in make_scenarios(lib, lib_ss)]
-        assert plan(names).faults
+        faults = plan(names).faults
+        assert faults
+        hangs = any(f.kind == "hang" for f in faults)
 
-        def run(engine):
-            return SignoffScheduler(
-                make_scenarios(lib, lib_ss), jobs=2, engine=engine,
-                policy=RetryPolicy(retries=1, backoff_s=0.0),
-                fault_injector=FaultInjector(plan(names)),
-            ).signoff(make_design())
+        def run(engine, executor):
+            registry = MetricsRegistry()
+            with obs_metrics.use(registry):
+                outcome = SignoffScheduler(
+                    make_scenarios(lib, lib_ss), jobs=2, engine=engine,
+                    executor=executor,
+                    # Over 10x an attempt; the hang outlasts it.
+                    policy=RetryPolicy(retries=1, backoff_s=0.0,
+                                       timeout_s=2.0 if hangs else None),
+                    fault_injector=FaultInjector(plan(names)),
+                ).signoff(make_design())
+            return outcome, {name: registry.get(name).value
+                             for name in registry.names()
+                             if name.startswith("supervisor.")}
 
-        ref, vec = run("reference"), run("vector")
-        assert vec.records == ref.records
-        assert vec.degraded == ref.degraded
-        assert slack_text(vec) == slack_text(ref)
-        assert vec.fallbacks == ref.fallbacks
-        assert vec.executor_used == ref.executor_used
-        # One event names the failed mode; the reference run has none.
-        assert len([e for e in vec.events
-                    if e.startswith("vector engine fell back")]) == 1
-        assert not [e for e in ref.events if e.startswith("vector engine")]
+        for executor in ("thread", "process"):
+            ref, ref_counts = run("reference", executor)
+            vec, vec_counts = run("vector", executor)
+            assert vec.records == ref.records
+            assert vec.degraded == ref.degraded
+            assert slack_text(vec) == slack_text(ref)
+            assert vec.fallbacks == ref.fallbacks
+            assert vec.executor_used == ref.executor_used
+            if hangs:
+                ref_counts["supervisor.timeouts"] += 1
+            assert vec_counts == ref_counts
+            # One event names the failed mode; the reference run has none.
+            assert len([e for e in vec.events
+                        if e.startswith("vector engine fell back")]) == 1
+            assert not [e for e in ref.events
+                        if e.startswith("vector engine")]
