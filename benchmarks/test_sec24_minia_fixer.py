@@ -12,7 +12,6 @@ import random
 
 from conftest import once
 
-from repro.liberty import make_library
 from repro.netlist.generators import random_logic
 from repro.netlist.transforms import swap_vt
 from repro.place.minia import find_minia_violations, fix_minia_violations

@@ -14,7 +14,6 @@ process/aging slowness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 from repro.errors import SignoffError
 from repro.liberty import LibraryCondition, make_library

@@ -17,8 +17,8 @@ monitor object can be "measured" at every PVT/aging point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 from repro.errors import SignoffError
 from repro.liberty import LibraryCondition, make_library

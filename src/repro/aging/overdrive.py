@@ -19,7 +19,7 @@ nominal mode still closes, and scores area + lifetime power.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Sequence
 
 from repro.aging.bti import BtiModel
 from repro.aging.signoff import greedy_upsize_closure

@@ -12,7 +12,7 @@ experiment on our synthetic circuits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.aging.avs import AvsController

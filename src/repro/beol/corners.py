@@ -16,11 +16,11 @@ transform that scales a corner's excursions toward typical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, Tuple
 
 from repro.errors import CornerError
-from repro.beol.stack import BeolStack, MetalLayer
+from repro.beol.stack import BeolStack
 
 
 @dataclass(frozen=True)
@@ -53,10 +53,6 @@ class BeolCorner:
             if name == layer_name:
                 return s
         raise CornerError(f"corner {self.name} has no layer {layer_name!r}")
-
-    @property
-    def layer_names(self) -> List[str]:
-        return [name for name, _ in self.scales]
 
 
 #: Base (single-patterned) excursions for each conventional corner family.

@@ -16,7 +16,6 @@ paper warns about — at the cost of requiring more fill elsewhere.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 

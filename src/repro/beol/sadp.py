@@ -22,7 +22,7 @@ import enum
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 from repro.errors import CornerError
 

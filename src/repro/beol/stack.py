@@ -11,7 +11,7 @@ larger variability of multi-patterned layers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.errors import CornerError
 

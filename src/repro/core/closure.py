@@ -48,7 +48,6 @@ from repro.runtime.supervisor import (
 )
 from repro.sta.analysis import STA
 from repro.sta.constraints import Constraints
-from repro.sta.incremental import TIMER_STATE_VERSION
 from repro.sta.kernel import ENGINES, run_on_engine
 from repro.sta.propagation import Derates
 from repro.sta.reports import TimingReport
@@ -204,10 +203,6 @@ class ClosureReport:
     pin_count: int = 0
 
     @property
-    def initial_wns(self) -> float:
-        return self.iterations[0].wns_setup
-
-    @property
     def final_wns(self) -> float:
         if self.final is None:  # aborted before any STA pass completed
             return float("nan")
@@ -285,9 +280,8 @@ class ClosureEngine:
     With a ``journal``, each completed iteration checkpoints the
     (records, design) state to disk, and ``run(..., resume=True)``
     continues a killed run from its last completed iteration — only the
-    remaining iterations recompute. Checkpoints stamp the incremental
-    timer's state version; since live timer state is never serialized,
-    a resume always rebuilds its timer from a full STA pass.
+    remaining iterations recompute. Live timer state is never
+    checkpointed: a resume rebuilds its timer from a full STA pass.
     """
 
     def __init__(
@@ -486,11 +480,6 @@ class ClosureEngine:
                         # latency), so the checkpoint carries them too.
                         if "constraints" in payload:
                             self.constraints = payload["constraints"]
-                        # Live timer state is never checkpointed — only
-                        # its version stamp — so whatever the stamp says,
-                        # resume falls back to a full rebuild below. A
-                        # future state snapshot would be trusted only on
-                        # an exact match.
                         resumed = it
                         break
             first_iteration = resumed + 1
@@ -541,8 +530,7 @@ class ClosureEngine:
                     self.journal.record(
                         "closure", (run_key, iteration),
                         {"records": records, "design": self.design,
-                         "constraints": self.constraints,
-                         "timer_state": {"version": TIMER_STATE_VERSION}},
+                         "constraints": self.constraints},
                     )
 
             final = sta.report

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.netlist.design import PinRef
 from repro.netlist.transforms import Edit, insert_buffer
 from repro.core.fixes.context import FixContext
 

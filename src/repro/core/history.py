@@ -8,7 +8,6 @@ renders the same tables the paper prints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.errors import ReproError

@@ -13,7 +13,7 @@ jitter term).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from repro.errors import SignoffError

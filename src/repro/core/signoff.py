@@ -17,7 +17,6 @@ from repro.errors import SignoffError
 from repro.netlist.design import Design
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing as obs_tracing
-from repro.sta.constraints import Constraints
 from repro.sta.mcmm import McmmResult, Scenario, ScenarioSet
 from repro.core.margins import MarginStackup
 

@@ -26,7 +26,6 @@ import math
 
 from repro.beol.corners import BeolCorner, conventional_corners, tightened_corner
 from repro.beol.stack import BeolStack, default_stack
-from repro.errors import SignoffError
 from repro.netlist.design import Design, PinRef
 from repro.liberty.library import Library
 from repro.sta.analysis import STA

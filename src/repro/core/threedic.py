@@ -18,8 +18,8 @@ multiple die" the paper calls out. Partition-aware mitigation
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 from repro.errors import TimingError
 from repro.liberty.library import Library
@@ -27,7 +27,6 @@ from repro.netlist.design import Design
 from repro.sta.analysis import STA
 from repro.sta.constraints import Constraints
 from repro.sta.propagation import Derates
-from repro.sta.reports import TimingReport
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ Two assignment policies are provided for comparison:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.errors import TimingError

@@ -9,7 +9,7 @@ delay") makes a first-class closure concern.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 from repro.errors import TimingError
 from repro.netlist.design import PinRef

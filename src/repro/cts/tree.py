@@ -11,7 +11,7 @@ delay and skew — and through which CPPR finds common segments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import NetlistError

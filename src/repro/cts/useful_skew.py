@@ -12,8 +12,8 @@ applies them to both the launch and capture roles of each flop).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence
 
 import numpy as np
 from scipy.optimize import linprog

@@ -15,8 +15,8 @@ repeat), maximizing the worst stage slack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence
 
 import numpy as np
 from scipy.optimize import linprog

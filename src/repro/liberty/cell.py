@@ -90,9 +90,6 @@ class Cell:
     def delay_arcs(self) -> List[TimingArc]:
         return [a for a in self.arcs if a.timing_type.is_delay]
 
-    def constraint_arcs(self) -> List[TimingArc]:
-        return [a for a in self.arcs if a.timing_type.is_constraint]
-
     def arcs_to(self, output_pin: str) -> List[TimingArc]:
         return [a for a in self.arcs if a.pin == output_pin and a.timing_type.is_delay]
 

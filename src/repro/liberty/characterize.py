@@ -20,7 +20,7 @@ from repro.liberty.tables import LookupTable2D
 from repro.spice.devices import NMOS_16NM, PMOS_16NM, vt_flavor_params
 from repro.spice.gates import add_inverter, add_nand, add_nor
 from repro.spice.network import GROUND, Circuit
-from repro.spice.stimulus import Constant, Ramp
+from repro.spice.stimulus import Constant
 from repro.spice.testbench import dff_capture_trial, _input_ramp, _measure_arc
 from repro.spice.transient import simulate
 

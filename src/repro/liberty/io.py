@@ -23,7 +23,7 @@ tables, LVF sigmas, leakage, footprints). Example::
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import LibraryError
 from repro.liberty.arcs import ArcTiming, TimingArc, TimingSense, TimingType

@@ -10,7 +10,7 @@ buffer insertion.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from repro.errors import LibraryError
 from repro.liberty.cell import Cell

@@ -11,7 +11,7 @@ experiment (strip LVF to emulate a pre-LVF library).
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.errors import LibraryError
 from repro.liberty.arcs import TimingArc

@@ -12,7 +12,7 @@ so fewer voltage points need characterizing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from repro.errors import LibraryError
 from repro.liberty import LibraryCondition, make_library

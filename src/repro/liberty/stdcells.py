@@ -24,8 +24,8 @@ lets the Section 3.1 accuracy-ladder experiment measure their pessimism.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Sequence, Tuple
 
 from repro.errors import LibraryError
 from repro.liberty.arcs import ArcTiming, TimingArc, TimingSense, TimingType

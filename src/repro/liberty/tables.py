@@ -8,7 +8,7 @@ mainstream STA-tool behaviour.
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 

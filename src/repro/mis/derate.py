@@ -18,7 +18,6 @@ from repro.errors import TimingError
 from repro.mis.analysis import Fig4Row, mis_window_probability
 from repro.netlist.design import PinRef
 from repro.sta.graph import CellEdge
-from repro.sta.reports import EndpointResult
 
 
 @dataclass

@@ -21,7 +21,7 @@ All generators are seeded and fully deterministic, assign a grid placement
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import NetlistError
 from repro.netlist.design import Design, PortDirection

@@ -25,7 +25,7 @@ exact rather than approximate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import NetlistError
@@ -204,10 +204,6 @@ class HierarchicalDesign:
 
     # ------------------------------------------------------------------ #
     # derived views
-
-    def clock_name(self, block: str) -> str:
-        self._block(block)
-        return f"clk_{block}"
 
     def boundary_nets(self) -> Dict[Tuple[str, str], str]:
         """(block, port) -> top-level net name, for every data port.

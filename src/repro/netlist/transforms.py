@@ -8,12 +8,11 @@ what changed so the closure loop can report and, if needed, revert.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.errors import NetlistError
-from repro.liberty.cell import PinDirection
 from repro.liberty.library import Library
-from repro.netlist.design import Design, Instance, Net, PinRef
+from repro.netlist.design import Design, PinRef
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,8 @@ from __future__ import annotations
 import bisect
 import json
 import threading
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.errors import TimingError
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.beol.sadp import (
     PatterningCase,
@@ -27,7 +27,7 @@ from repro.beol.sadp import (
 from repro.beol.stack import BeolStack, MetalLayer
 from repro.errors import CornerError
 from repro.netlist.design import PinRef
-from repro.parasitics.synthesis import NetParasitics, ParasiticExtractor
+from repro.parasitics.synthesis import ParasiticExtractor
 
 #: Representative nominal line widths per patterning class, nm.
 _NOMINAL_WIDTH_NM = {"single": 50.0, "sadp": 28.0, "saqp": 18.0}

@@ -16,11 +16,10 @@ needs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
-from repro.beol.corners import BeolCorner, LayerScales
+from repro.beol.corners import BeolCorner
 from repro.beol.stack import BeolStack
-from repro.errors import CornerError
 from repro.liberty.library import Library
 from repro.netlist.design import Design, Net, PinRef
 from repro.parasitics.rctree import RCTree

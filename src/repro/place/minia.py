@@ -22,14 +22,13 @@ report records fix rate, leakage delta and total displacement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Tuple
 
-from repro.errors import PlacementError
 from repro.liberty.library import Library
 from repro.netlist.design import Design
 from repro.netlist.transforms import swap_vt
-from repro.place.rows import PlacedCell, Placement, Row
+from repro.place.rows import PlacedCell, Placement
 
 DEFAULT_MIN_IMPLANT_WIDTH = 1.0  # um
 

@@ -255,7 +255,7 @@ class SupervisedExecutor:
         if attempt >= self.policy.max_attempts:
             execution.status = TaskStatus.DEGRADED
             execution.error = TaskDegradedError(
-                f"quarantined after {attempt} attempt(s): {error.message}",
+                f"failed after {attempt} attempt(s): {error.message}",
                 task=execution.name,
                 attempts=attempt,
                 cause=type(error).__name__,

@@ -93,9 +93,9 @@ class DesignOverlay:
         #: Instance names whose objects in the materialized view are
         #: session-private copies (everything else aliases the base).
         self._private: Set[str] = set()
-        #: Shared fingerprint memo (lazily built — the STA stack is only
-        #: imported once a fingerprint is actually needed).
-        self._fp_memo = None
+        #: ``(version, design fingerprint)`` of the last fingerprinted
+        #: commit.
+        self._fingerprint: Optional[Tuple[int, str]] = None
 
     # ------------------------------------------------------------------ #
     # reads (fall through to base)
@@ -235,13 +235,16 @@ class DesignOverlay:
         daemon needs it on every query, but the view's content can only
         change when :meth:`apply` or :meth:`discard` bumps ``version``.
         """
-        from repro.sta.scheduler import FingerprintMemo, design_fingerprint
+        # Imported here: the STA stack loads only once a fingerprint is
+        # needed.
+        from repro.sta.scheduler import design_fingerprint
 
-        if self._fp_memo is None:
-            self._fp_memo = FingerprintMemo()
-        return self._fp_memo.get(
-            "design", self.version,
-            lambda: design_fingerprint(self.materialize()))
+        version = self.version
+        memo = self._fingerprint
+        if memo is None or memo[0] != version:
+            memo = (version, design_fingerprint(self.materialize()))
+            self._fingerprint = memo
+        return memo[1]
 
     def materialize(self) -> Design:
         """The session's private, timeable view of the design.

@@ -13,9 +13,15 @@ Robustness properties, in the order a failing component meets them:
   :class:`~repro.serve.admission.AdmissionQueue`; when it is full the
   request is *shed* immediately with a retryable ``E_OVERLOADED``
   response. Control ops (ping/stats/session lifecycle) bypass admission
-  — health checks must work especially well under overload. Daemon
-  memory is bounded by construction: frames are size-capped, the queue
-  is depth-capped, reader threads hold at most one frame each.
+  — health checks must work especially well under overload. A control
+  op that fails answers with an error response (``E_BAD_REQUEST`` for a
+  malformed session id, ``E_INTERNAL`` counted in
+  ``serve.internal_errors`` for anything else) and keeps the
+  connection. Daemon memory is bounded by construction: frames are
+  size-capped, the queue is depth-capped, reader threads hold at most
+  one frame each, and the result cache holds live content only — a
+  session's entries are freed when it commits an ECO, discards or
+  closes.
 - **Deadlines and retries** — each admitted request runs as one task
   on a serial :class:`~repro.runtime.supervisor.SupervisedExecutor`
   under the daemon's :class:`~repro.runtime.supervisor.RetryPolicy`,
@@ -32,6 +38,10 @@ Robustness properties, in the order a failing component meets them:
   :class:`~repro.sta.kernel.KernelCompileError` falls back to the
   reference path per scenario (counted, span-traced); a journal IO error
   degrades checkpointing, not serving.
+- **Shared cache** — workers and reader threads share one
+  :class:`~repro.sta.scheduler.ScenarioResultCache`, which locks its
+  entries and counters; content keys alone decide whether an entry is
+  valid.
 - **Warm restart** — scenario results and the session ledger are
   journaled through :class:`~repro.runtime.journal.RunJournal`. A
   SIGKILL'd daemon restarted on the same journal prewarms its result
@@ -80,11 +90,7 @@ from repro.serve.admission import AdmissionQueue
 from repro.serve.overlay import OverlayEdit
 from repro.serve.session import Session, SessionManager
 from repro.sta.analysis import STA
-from repro.sta.scheduler import (
-    FingerprintMemo,
-    ScenarioResultCache,
-    scenario_fingerprint,
-)
+from repro.sta.scheduler import ScenarioResultCache, scenario_fingerprint
 
 #: Session id of the shared (sessionless) query context. Not in the
 #: session table — only reachable by omitting ``session`` — and never
@@ -118,6 +124,17 @@ def _number(params: Dict[str, Any], name: str, default, lo, hi,
             param=name,
         )
     return value if integer else float(value)
+
+
+def _session_id(value, op: str) -> str:
+    """A control op's session id: a non-empty string, or the request is
+    the client's fault (ProtocolError)."""
+    if not isinstance(value, str) or not value:
+        raise ProtocolError(
+            f"{op} needs a non-empty string session id, got {value!r}",
+            param="session_id",
+        )
+    return value
 
 
 class _ClientFault:
@@ -246,11 +263,11 @@ class TimingDaemon:
         self.stack = stack or default_stack()
         # Scenario libraries are bound once for the daemon's lifetime;
         # hashing their full cell tables per query would dominate the
-        # cache-hit path. Warmed here so the cost lands at startup.
-        self._fingerprints = FingerprintMemo()
-        for name, s in self.scenarios.items():
-            self._fingerprints.get(name, None,
-                                   lambda s=s: scenario_fingerprint(s))
+        # cache-hit path. Taken here so the cost lands at startup.
+        self._fingerprints: Dict[str, str] = {
+            name: scenario_fingerprint(s)
+            for name, s in self.scenarios.items()
+        }
         self.config = config or DaemonConfig()
         self.journal = journal
         self.fault_injector = fault_injector
@@ -262,12 +279,9 @@ class TimingDaemon:
             fault_injector=fault_injector,
             session_limit=self.config.session_limit,
         )
-        for session in self.sessions.sessions():  # journal-restored
-            session.timers.register_cache(self.cache)
         self._shared = Session(SHARED_SESSION_ID, design,
                                self.config.engine,
                                fault_injector=fault_injector)
-        self._shared.timers.register_cache(self.cache)
         self.admission = AdmissionQueue(self.config.queue_limit)
         self.prewarmed = self._prewarm_cache()
         self.port: Optional[int] = None
@@ -445,10 +459,12 @@ class TimingDaemon:
         if request["op"] in protocol.CONTROL_OPS:
             try:
                 result = self._control(request)
-            except ServeError as exc:
-                conn.send(protocol.error_response(request_id, exc))
-                return
             except ReproError as exc:
+                conn.send(protocol.error_response(
+                    request_id, self._wrap_error(exc)))
+                return
+            except Exception as exc:  # noqa: BLE001 - reader must survive
+                obs_metrics.inc("serve.internal_errors")
                 conn.send(protocol.error_response(
                     request_id, self._wrap_error(exc)))
                 return
@@ -635,20 +651,19 @@ class TimingDaemon:
         if op == "stats":
             return self._stats()
         if op == "open_session":
-            session = self.sessions.open(params.get("session_id"))
-            session.timers.register_cache(self.cache)
-            return {"session": session.id}
+            sid = params.get("session_id")
+            if sid is not None:
+                _session_id(sid, op)
+            return {"session": self.sessions.open(sid).id}
         if op == "close_session":
-            sid = request["session"] or params.get("session_id")
-            if not sid:
-                raise ProtocolError("close_session needs a session id")
+            sid = _session_id(request["session"] or params.get("session_id"),
+                              op)
             self.sessions.close(sid)
             self.cache.invalidate_design(f"{self.design.name}@{sid}")
             return {"closed": sid}
         if op == "discard":
-            sid = request["session"] or params.get("session_id")
-            if not sid:
-                raise ProtocolError("discard needs a session id")
+            sid = _session_id(request["session"] or params.get("session_id"),
+                              op)
             dropped = self.sessions.discard(sid)
             self.cache.invalidate_design(f"{self.design.name}@{sid}")
             return {"discarded": dropped, "session": sid}
@@ -731,10 +746,7 @@ class TimingDaemon:
             self.fault_injector.fire(scenario.name, attempt)
         design = session.overlay.materialize()
         design_fp = session.overlay.content_fingerprint()
-        scenario_fp = self._fingerprints.get(
-            scenario.name, None,
-            lambda: scenario_fingerprint(scenario))
-        key = (design.name, design_fp, scenario_fp)
+        key = (design.name, design_fp, self._fingerprints[scenario.name])
         cached = self.cache.lookup(*key)
         if cached is not None:
             return cached, "cache"

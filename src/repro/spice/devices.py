@@ -26,7 +26,7 @@ BTI-aging studies perturb only these two fields.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Tuple
 
 from repro.units import celsius_to_kelvin

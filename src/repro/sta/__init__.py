@@ -48,7 +48,6 @@ from repro.sta.kernel import (
 )
 from repro.sta.required import instance_slacks, required_times
 from repro.sta.scheduler import (
-    FingerprintMemo,
     ScenarioResultCache,
     SignoffOutcome,
     SignoffScheduler,
@@ -77,7 +76,6 @@ __all__ = [
     "run_ssta",
     "tune_to_yield",
     "yield_vs_tuning_range",
-    "FingerprintMemo",
     "ClockSpec",
     "Constraints",
     "Derates",

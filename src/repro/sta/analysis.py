@@ -18,7 +18,6 @@ Hold check (same-edge)::
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Optional, Tuple
 
 from repro.beol.corners import BeolCorner, conventional_corners
@@ -29,7 +28,7 @@ from repro.netlist.design import Design, PinRef
 from repro.parasitics.synthesis import ParasiticExtractor
 from repro.sta.algebra import SCALAR, TimingAlgebra
 from repro.sta.constraints import Constraints
-from repro.sta.graph import CellEdge, NetEdge, TimingCheck, TimingGraph
+from repro.sta.graph import NetEdge, TimingCheck, TimingGraph
 from repro.sta.propagation import (
     DIRECTIONS,
     Derates,

@@ -9,7 +9,7 @@ pin common to both clock paths.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.errors import TimingError
 from repro.netlist.design import PinRef

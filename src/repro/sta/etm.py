@@ -85,7 +85,6 @@ class EtmPort:
     setup_budget: Optional[float] = None  # latest OK arrival, ps
     hold_budget: Optional[float] = None  # earliest OK arrival, ps
     clock_to_out: Optional[float] = None  # worst output delay, ps
-    out_slew: Optional[float] = None
     input_cap: Optional[float] = None  # legacy: wire + pin load, fF
     # -- extended, slew/load-indexed data -------------------------------- #
     clock: Optional[str] = None  # governing clock name, if unique
@@ -157,14 +156,13 @@ class ExtractedTimingModel:
         return wns
 
 
-def extract_etm(sta: STA, tables: bool = True) -> ExtractedTimingModel:
+def extract_etm(sta: STA) -> ExtractedTimingModel:
     """Extract the block's ETM from a completed STA run.
 
     The run must use zero input delays so budgets are absolute (the
     extractor asserts this). Reuses the retained report of the completed
     run — a second full analysis is only paid if ``run()`` was never
-    called. ``tables=False`` skips the slew/load-indexed boundary arcs
-    and extracts scalars only.
+    called.
     """
     if sta.prop is None:
         raise TimingError("run() must be called before ETM extraction")
@@ -217,11 +215,8 @@ def extract_etm(sta: STA, tables: bool = True) -> ExtractedTimingModel:
             continue
         port = endpoint.endpoint.pin
         entry = etm.ports.setdefault(port, EtmPort(name=port))
-        direction = endpoint.data_direction
-        arr = sta.prop.at(endpoint.endpoint, direction)
         if endpoint.launched_from_clock:
             entry.clock_to_out = endpoint.arrival
-            entry.out_slew = arr.slew_late
         else:
             # Feedthrough: the worst path launches from a data input at
             # arrival 0, so this is an in->out delay, not clock-to-out.
@@ -229,8 +224,6 @@ def extract_etm(sta: STA, tables: bool = True) -> ExtractedTimingModel:
             start = endpoint.startpoint
             if start is not None and start.is_port:
                 entry.feedthrough_from = start.pin
-            if entry.out_slew is None:
-                entry.out_slew = arr.slew_late
 
     # Internal WNS: flop-to-flop paths that never cross the boundary.
     # Conservative: endpoints whose worst path starts at a clock root.
@@ -247,9 +240,8 @@ def extract_etm(sta: STA, tables: bool = True) -> ExtractedTimingModel:
             internal_hold = min(internal_hold, endpoint.slack)
     etm.internal_hold_wns = internal_hold
 
-    if tables:
-        _extract_input_tables(sta, etm, clock_ports)
-        _extract_output_tables(sta, etm, clock_ports)
+    _extract_input_tables(sta, etm, clock_ports)
+    _extract_output_tables(sta, etm, clock_ports)
     return etm
 
 

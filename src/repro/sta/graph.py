@@ -15,12 +15,11 @@ derates and CPPR can identify common clock segments.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Set
 
 from repro.errors import TimingError
 from repro.liberty.arcs import TimingArc, TimingType
-from repro.liberty.cell import PinDirection
 from repro.liberty.library import Library
 from repro.netlist.design import Design, PinRef
 from repro.sta.constraints import Constraints

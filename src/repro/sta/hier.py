@@ -73,7 +73,7 @@ from repro.runtime.supervisor import (
 )
 from repro.sta.analysis import STA
 from repro.sta.constraints import ClockSpec, Constraints
-from repro.sta.etm import CSLEW_AXIS, ExtractedTimingModel, extract_etm
+from repro.sta.etm import ExtractedTimingModel, extract_etm
 from repro.sta.mcmm import Scenario
 from repro.sta.propagation import Derates
 from repro.sta.required import pin_slack, required_times
@@ -85,10 +85,6 @@ from repro.sta.scheduler import (
     fingerprint_pass,
     scenario_fingerprint,
 )
-
-#: Fallback axes for constant (scalar-derived) stub tables.
-_FALLBACK_SLEW_AXIS = (1.0, 300.0)
-_FALLBACK_LOAD_AXIS = (0.5, 250.0)
 
 
 # ---------------------------------------------------------------------- #
@@ -142,18 +138,12 @@ def _extract_etm_job(job, attempt: int = 1):
 # stub cell / stub view construction
 
 
-def _const_table(axis1, axis2, value: float) -> LookupTable2D:
-    rows = [[value] * len(axis2) for _ in axis1]
-    return LookupTable2D(axis1, axis2, rows)
-
-
 def build_stub_cell(
     block_name: str,
     etm: ExtractedTimingModel,
     clock: ClockSpec,
     constraints: Constraints,
     delta: float = 0.0,
-    strict: bool = True,
 ) -> Cell:
     """One Liberty stub cell for one block instance.
 
@@ -162,7 +152,8 @@ def build_stub_cell(
     ones the ETM was extracted under — :func:`block_constraints`
     guarantees that). ``delta`` is the stub-view clock insertion delay
     from the top clock port to this cell's CK pin; see the module
-    docstring for the algebra.
+    docstring for the algebra. A port whose interface could not be
+    tabulated (no boundary anchor) is refused with a TimingError.
     """
     cell = Cell(
         name=f"ETM_{block_name}", footprint="etm", size=1.0,
@@ -176,10 +167,9 @@ def build_stub_cell(
                - clock.uncertainty_setup - constraints.flat_setup_margin)
     c_hold = (clock.source_latency + delta + clock.uncertainty_hold
               + constraints.flat_hold_margin)
-    launch_shift = -(clock.source_latency + delta)
     # Pure feedthrough sources carry no register budgets of their own;
     # their timing lives in the feedthrough arc and the checks behind
-    # the destination port, so the strict gate must not demand tables.
+    # the destination port, so the anchoring gate must not demand tables.
     ft_sources = {ft.from_port for ft in etm.feedthroughs}
 
     for port, entry in sorted(etm.ports.items()):
@@ -193,29 +183,19 @@ def build_stub_cell(
 
         if entry.setup_budget is not None and \
                 (entry.setup_budget_tables or port not in ft_sources):
-            setup_c: Dict[str, LookupTable2D] = {}
-            hold_c: Dict[str, LookupTable2D] = {}
-            if entry.setup_budget_tables:
-                for d, t in entry.setup_budget_tables.items():
-                    setup_c[d] = LookupTable2D(
-                        t.index_1, t.index_2, c_setup - t.values)
-                for d, t in entry.hold_budget_tables.items():
-                    hold_c[d] = LookupTable2D(
-                        t.index_1, t.index_2, t.values - c_hold)
-            elif strict:
+            if not entry.setup_budget_tables:
                 raise TimingError(
                     f"block {etm.block_name!r} port {port!r} has no budget "
-                    "tables (is the interface anchored?); pass "
-                    "strict=False to fall back to scalar budgets"
+                    "tables (is the interface anchored?)"
                 )
-            else:
-                for d in ("rise", "fall"):
-                    setup_c[d] = _const_table(
-                        _FALLBACK_SLEW_AXIS, CSLEW_AXIS,
-                        c_setup - entry.setup_budget)
-                    hold_c[d] = _const_table(
-                        _FALLBACK_SLEW_AXIS, CSLEW_AXIS,
-                        (entry.hold_budget or 0.0) - c_hold)
+            setup_c: Dict[str, LookupTable2D] = {}
+            hold_c: Dict[str, LookupTable2D] = {}
+            for d, t in entry.setup_budget_tables.items():
+                setup_c[d] = LookupTable2D(
+                    t.index_1, t.index_2, c_setup - t.values)
+            for d, t in entry.hold_budget_tables.items():
+                hold_c[d] = LookupTable2D(
+                    t.index_1, t.index_2, t.values - c_hold)
             cell.arcs.append(TimingArc(
                 related_pin="CK", pin=port,
                 timing_type=TimingType.SETUP_RISING,
@@ -229,29 +209,17 @@ def build_stub_cell(
                 ))
 
         if entry.clock_to_out is not None:
-            timing: Dict[str, ArcTiming] = {}
-            if entry.clock_to_out_timing:
-                for d, at in entry.clock_to_out_timing.items():
-                    # Recorded arrivals already exclude the source
-                    # latency; the engine re-adds L + delta at CK.
-                    timing[d] = ArcTiming(delay=at.delay.shifted(-delta),
-                                          slew=at.slew)
-            elif strict:
+            if not entry.clock_to_out_timing:
                 raise TimingError(
                     f"block {etm.block_name!r} output {port!r} has no "
-                    "clock->out tables (is the interface anchored?); "
-                    "pass strict=False to fall back to scalars"
+                    "clock->out tables (is the interface anchored?)"
                 )
-            else:
-                for d in ("rise", "fall"):
-                    timing[d] = ArcTiming(
-                        delay=_const_table(
-                            CSLEW_AXIS, _FALLBACK_LOAD_AXIS,
-                            entry.clock_to_out + launch_shift),
-                        slew=_const_table(
-                            CSLEW_AXIS, _FALLBACK_LOAD_AXIS,
-                            entry.out_slew or 20.0),
-                    )
+            timing: Dict[str, ArcTiming] = {}
+            for d, at in entry.clock_to_out_timing.items():
+                # Recorded arrivals already exclude the source latency;
+                # the engine re-adds L + delta at CK.
+                timing[d] = ArcTiming(delay=at.delay.shifted(-delta),
+                                      slew=at.slew)
             cell.arcs.append(TimingArc(
                 related_pin="CK", pin=port,
                 timing_type=TimingType.RISING_EDGE,
@@ -318,7 +286,6 @@ def build_stub_view(
     etms: Dict[str, ExtractedTimingModel],
     scenario: Scenario,
     stack: BeolStack,
-    strict: bool = True,
 ) -> Tuple[Design, Library]:
     """Stub design + stub library for one scenario.
 
@@ -339,7 +306,7 @@ def build_stub_view(
             spec = scenario.constraints.clocks[f"clk_{name}"]
             cells[name] = build_stub_cell(
                 name, etms[name], spec, scenario.constraints,
-                delta=deltas[name], strict=strict,
+                delta=deltas[name],
             )
         library = Library(
             name=f"{scenario.library.name}__etm",
@@ -476,9 +443,9 @@ class HierScheduler:
         jobs/executor: extraction fan-out width and pool flavor.
         etm_cache: shared cache for extracted models (optional).
         signoff_cache: passed to the top-level scheduler (optional).
-        strict: True refuses blocks whose interfaces could not be
-            tabulated (un-anchored ports); False falls back to scalar
-            budgets for those ports (conservative, not exact).
+
+    Blocks whose interfaces could not be tabulated (un-anchored ports)
+    are refused with a TimingError.
     """
 
     def __init__(
@@ -491,7 +458,6 @@ class HierScheduler:
         etm_cache: Optional[ScenarioResultCache] = None,
         signoff_cache: Optional[ScenarioResultCache] = None,
         policy: Optional[RetryPolicy] = None,
-        strict: bool = True,
         engine: str = "reference",
     ):
         if not scenarios:
@@ -517,7 +483,6 @@ class HierScheduler:
         self.etm_cache = etm_cache
         self.signoff_cache = signoff_cache
         self.policy = policy or RetryPolicy()
-        self.strict = strict
         self.engine = engine
         #: Block STA extractions actually performed (cache misses after
         #: dedup); the call counter the regression tests assert against.
@@ -651,7 +616,6 @@ class HierScheduler:
                                  for b in self.hier.blocks}
                     design, library = build_stub_view(
                         self.hier, per_block, s, self.stack,
-                        strict=self.strict,
                     )
                     if stub_design is None:
                         stub_design = design
@@ -737,9 +701,6 @@ class AgreementReport:
         return (not self.degraded and bool(self.rows)
                 and self.max_divergence <= self.bound)
 
-    def worst_rows(self, n: int = 5) -> List[AgreementRow]:
-        return sorted(self.rows, key=lambda r: -r.divergence)[:n]
-
     def render(self) -> str:
         lines = [
             f"{'scenario':<16} {'block':<8} {'endpoint':<28} "
@@ -785,7 +746,6 @@ def compare_hier_vs_flat(
     executor: str = "thread",
     bound: float = 1.0,
     etm_cache: Optional[ScenarioResultCache] = None,
-    strict: bool = True,
 ) -> AgreementReport:
     """Run both views and compare every boundary endpoint.
 
@@ -816,7 +776,7 @@ def compare_hier_vs_flat(
     t1 = time.perf_counter()
     scheduler = HierScheduler(
         hier, scenarios, stack=stack, jobs=jobs, executor=executor,
-        etm_cache=etm_cache, strict=strict,
+        etm_cache=etm_cache,
     )
     outcome = scheduler.signoff()
     hier_wall = time.perf_counter() - t1

@@ -26,10 +26,8 @@ Guarantees the closure loop leans on:
   cannot absorb raises :class:`~repro.errors.TimingError` with the
   graph, arrivals and report untouched, so the caller can fall back to
   :meth:`full_update` on a still-usable timer.
-- **Edit-keyed invalidation** — registered signoff caches are dropped
-  only when an update actually edits the design; a no-op update (empty
-  edit list) returns the existing report and leaves every cached
-  scenario intact.
+- **No-op updates are free** — an empty edit list returns the existing
+  report without re-timing anything.
 
 Cost model: a cone update costs the edited cone plus one pass over the
 endpoint list. The timer keeps the last report's records indexed (one
@@ -64,11 +62,6 @@ from repro.sta.propagation import (
 )
 from repro.sta.reports import EndpointResult, SlewViolation, TimingReport
 
-#: Version of the timer's internal state layout. Checkpoints record it so
-#: a resumed run knows whether a serialized timer state could be trusted;
-#: any mismatch (or absence) means "rebuild from scratch".
-TIMER_STATE_VERSION = 1
-
 
 class IncrementalTimer:
     """Wraps a run STA and applies cone-limited updates after cell edits.
@@ -90,27 +83,10 @@ class IncrementalTimer:
         self.full_updates = 0
         self.incremental_updates = 0
         self.last_cone_size = 0
-        #: Signoff result caches (:class:`repro.sta.scheduler.
-        #: ScenarioResultCache`) notified whenever this timer edits the
-        #: design, so cached per-scenario reports of the pre-ECO netlist
-        #: are dropped eagerly rather than lingering until LRU eviction.
-        self.caches: List[object] = []
         # The graph and the report the timer's indexes describe.
         self._graph: Optional[TimingGraph] = None
         self._indexed: Optional[TimingReport] = None
         self._sync()
-
-    def register_cache(self, cache) -> None:
-        """Invalidate ``cache`` entries for this design on every update."""
-        self.caches.append(cache)
-
-    def _invalidate_caches(self) -> None:
-        for cache in self.caches:
-            cache.invalidate_design(self.sta.design.name)
-
-    @property
-    def state_version(self) -> int:
-        return TIMER_STATE_VERSION
 
     # ------------------------------------------------------------------ #
 
@@ -121,19 +97,18 @@ class IncrementalTimer:
         footprint). Returns a fresh report; ``sta.prop`` is updated in
         place so path reconstruction stays valid.
 
-        An empty edit list is a no-op: the existing report is returned
-        and registered caches are *not* invalidated.
+        An empty edit list is a no-op: the existing report is returned.
 
         Raises :class:`~repro.errors.TimingError` — without mutating the
-        graph, arrivals or caches — when an edit changed an instance's
-        arc set (a full rebuild is needed); the timer stays usable.
+        graph or arrivals — when an edit changed an instance's arc set
+        (a full rebuild is needed); the timer stays usable.
         """
         sta = self.sta
         names = list(dict.fromkeys(instance_names))  # de-dupe, keep order
         self._sync()
         if not names:
-            # No-op pass: nothing changed, so every cached scenario and
-            # stored arrival is still valid. Serve the existing report.
+            # No-op pass: nothing changed, so every stored arrival is
+            # still valid. Serve the existing report.
             return sta.report
 
         with obs_tracing.span("retime_cone", design=sta.design.name,
@@ -141,9 +116,8 @@ class IncrementalTimer:
             # Phase 1 (may raise, mutates nothing): plan the rebinds.
             plans = [self._plan_instance_edges(name) for name in names]
 
-            # Phase 2 (infallible): the edit is absorbable — invalidate
-            # registered caches for this design and apply the rebinds.
-            self._invalidate_caches()
+            # Phase 2 (infallible): the edit is absorbable; apply the
+            # rebinds.
             for plan in plans:
                 self._apply_instance_edges(plan)
 
@@ -213,7 +187,6 @@ class IncrementalTimer:
         """
         sta = self.sta
         with obs_tracing.span("full_update", design=sta.design.name):
-            self._invalidate_caches()
             self.full_updates += 1
             self.last_cone_size = 0
             obs_metrics.inc("sta.retime.full")

@@ -11,14 +11,14 @@ Invariant (tested): PBA slack >= GBA slack for every endpoint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import TimingError
 from repro.netlist.design import PinRef
 from repro.sta.algebra import SCALAR
 from repro.sta.cppr import endpoint_cppr_credit
-from repro.sta.graph import CellEdge, NetEdge
+from repro.sta.graph import NetEdge
 from repro.sta.propagation import driver_load
 from repro.sta.reports import EndpointResult
 

@@ -14,7 +14,7 @@ guards (e.g. the MinIA fixer's ``slack_of``) read instance criticality.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.errors import TimingError
 from repro.netlist.design import PinRef

@@ -14,9 +14,8 @@ independent STA run. This module attacks both axes:
 - **Caching** — :class:`ScenarioResultCache` memoizes per-scenario
   :class:`~repro.sta.reports.TimingReport` objects under a content hash
   of (netlist, constraints, corner parameters). Re-signoff after an ECO
-  only recomputes scenarios whose inputs actually changed; the
-  incremental timer (:mod:`repro.sta.incremental`) notifies registered
-  caches when it edits a design so stale snapshots are dropped eagerly.
+  only recomputes scenarios whose inputs actually changed: the content
+  key alone decides whether a cached report is valid.
 
 The same supervised executor batches Monte Carlo sample evaluation
 (:func:`repro.spice.montecarlo.evaluate_samples` with per-sample
@@ -286,16 +285,16 @@ _pass_scope = threading.local()
 def fingerprint_pass():
     """Scope of one signoff pass: each library cell is hashed once.
 
-    Yields a :class:`FingerprintMemo` of cell digests keyed by object
-    identity; each entry holds its cell as the token, so an id cannot be
-    reused while the scope lives. A scope opened inside another on the
-    same thread (the hierarchical top-level stub signoff) reuses the
-    outer memo. The memo is dropped when the outermost scope exits, so
-    a cell edited between passes is hashed afresh; each thread has its
-    own scope, so concurrent passes never share one.
+    Yields the pass's memo, a dict ``id(cell) -> (cell, digest)``; each
+    entry holds its cell, so an id cannot be reused while the scope
+    lives. A scope opened inside another on the same thread (the
+    hierarchical top-level stub signoff) reuses the outer memo. The memo
+    is dropped when the outermost scope exits, so a cell edited between
+    passes is hashed afresh; each thread has its own scope, so
+    concurrent passes never share one.
     """
     outer = getattr(_pass_scope, "memo", None)
-    memo = FingerprintMemo() if outer is None else outer
+    memo: Dict[int, Tuple[object, str]] = {} if outer is None else outer
     _pass_scope.memo = memo
     try:
         yield memo
@@ -315,12 +314,13 @@ def library_fingerprint(library) -> str:
     cells copied into stub libraries) is hashed once; a call outside
     any pass hashes every cell afresh.
     """
+    cells = []
     with fingerprint_pass() as memo:
-        cells = [
-            (name, memo.get(id(cell), cell,
-                            lambda cell=cell: _cell_digest(cell)))
-            for name, cell in sorted(library.cells.items())
-        ]
+        for name, cell in sorted(library.cells.items()):
+            entry = memo.get(id(cell))
+            if entry is None:
+                entry = memo[id(cell)] = (cell, _cell_digest(cell))
+            cells.append((name, entry[1]))
     return _digest(library.name, library.process, library.vdd,
                    library.temp_c, library.default_max_transition, cells)
 
@@ -339,53 +339,6 @@ def scenario_fingerprint(scenario) -> str:
         scenario.derates,
         constraints_fingerprint(scenario.constraints),
     )
-
-
-class FingerprintMemo:
-    """Token-validated memo for content fingerprints.
-
-    Three users share one pattern — cache the digest next to a validity
-    token, recompute only when the token changes:
-
-    - the daemon memoizes scenario fingerprints (libraries are bound
-      once for its lifetime);
-    - session overlays memoize their design fingerprint (valid until
-      the commit version moves);
-    - a :func:`fingerprint_pass` memoizes cell digests for one signoff
-      pass, keyed by ``id(cell)`` with the cell itself as the token.
-
-    ``get`` compares tokens by identity, then equality, so a commit
-    counter, a bind timestamp, the keyed object or ``None``
-    (compute-once) all work. The scheduler never memoizes across
-    passes: a library mutated in place between passes must miss the
-    result cache, so each pass re-hashes its cells.
-    """
-
-    def __init__(self):
-        self._entries: Dict[object, Tuple[object, str]] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key, token, compute) -> str:
-        """The fingerprint for ``key``, recomputed iff ``token`` moved."""
-        entry = self._entries.get(key)
-        if entry is not None and (entry[0] is token or entry[0] == token):
-            self.hits += 1
-            return entry[1]
-        self.misses += 1
-        fp = compute()
-        self._entries[key] = (token, fp)
-        return fp
-
-    def invalidate(self, key=None) -> None:
-        """Drop one entry, or every entry when ``key`` is omitted."""
-        if key is None:
-            self._entries.clear()
-        else:
-            self._entries.pop(key, None)
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
 
 # ---------------------------------------------------------------------- #
@@ -419,10 +372,9 @@ class ScenarioResultCache:
     """LRU cache of per-scenario timing reports.
 
     Keys are ``(design_name, design_fp, scenario_fp)``: the content hash
-    guarantees correctness (any netlist/constraint/corner change misses),
-    while the design *name* supports eager invalidation — an ECO on a
-    live design drops every snapshot taken of it, old content never
-    recurs.
+    alone decides validity (any netlist/constraint/corner change
+    misses), while the design *name* lets an owner free every snapshot
+    of a design it knows will not recur (:meth:`invalidate_design`).
 
     Recency is true LRU: both :meth:`store` and :meth:`lookup` refresh
     an entry's position, so the entry evicted at ``max_entries`` is the
@@ -432,6 +384,10 @@ class ScenarioResultCache:
     digest is taken at store time and re-checked at lookup time; a
     mismatch (a cached object mutated behind the cache's back) drops the
     entry and reports a miss instead of serving corrupt timing.
+
+    Thread safety: one lock guards the entries and the counters, so the
+    daemon's workers and reader threads may share a cache. Content
+    digests are taken outside it, so verified reads do not serialize.
     """
 
     def __init__(self, max_entries: int = 512, verify: bool = False):
@@ -441,6 +397,7 @@ class ScenarioResultCache:
         self.verify = verify
         self._store: "OrderedDict[Tuple[str, str, str], _CacheEntry]" = \
             OrderedDict()
+        self._lock = threading.Lock()
         self.stats = CacheStats()
 
     def __len__(self) -> int:
@@ -448,45 +405,54 @@ class ScenarioResultCache:
 
     def keys(self) -> List[Tuple[str, str, str]]:
         """Cached keys from least to most recently used."""
-        return list(self._store)
+        with self._lock:
+            return list(self._store)
 
     def lookup(self, design_name: str, design_fp: str,
                scenario_fp: str) -> Optional[TimingReport]:
         key = (design_name, design_fp, scenario_fp)
-        entry = self._store.get(key)
-        if entry is None:
-            self.stats.misses += 1
-            return None
+        with self._lock:
+            entry = self._store.get(key)
+            if entry is None:
+                self.stats.misses += 1
+                return None
         if self.verify and entry.digest is not None \
                 and entry.report.content_digest() != entry.digest:
-            del self._store[key]
-            self.stats.corruptions += 1
-            self.stats.misses += 1
+            with self._lock:
+                if self._store.get(key) is entry:
+                    del self._store[key]
+                self.stats.corruptions += 1
+                self.stats.misses += 1
             return None
-        self._store.move_to_end(key)
-        self.stats.hits += 1
+        with self._lock:
+            if key in self._store:
+                self._store.move_to_end(key)
+            self.stats.hits += 1
         return entry.report
 
     def store(self, design_name: str, design_fp: str, scenario_fp: str,
               report: TimingReport) -> None:
         key = (design_name, design_fp, scenario_fp)
         digest = report.content_digest() if self.verify else None
-        self._store[key] = _CacheEntry(report=report, digest=digest)
-        self._store.move_to_end(key)
-        while len(self._store) > self.max_entries:
-            self._store.popitem(last=False)
+        with self._lock:
+            self._store[key] = _CacheEntry(report=report, digest=digest)
+            self._store.move_to_end(key)
+            while len(self._store) > self.max_entries:
+                self._store.popitem(last=False)
 
     def invalidate_design(self, design_name: str) -> int:
         """Drop every cached report of the named design (ECO hygiene)."""
-        stale = [k for k in self._store if k[0] == design_name]
-        for key in stale:
-            del self._store[key]
-        self.stats.invalidations += len(stale)
+        with self._lock:
+            stale = [k for k in self._store if k[0] == design_name]
+            for key in stale:
+                del self._store[key]
+            self.stats.invalidations += len(stale)
         return len(stale)
 
     def clear(self) -> None:
-        self.stats.invalidations += len(self._store)
-        self._store.clear()
+        with self._lock:
+            self.stats.invalidations += len(self._store)
+            self._store.clear()
 
 
 # ---------------------------------------------------------------------- #
@@ -494,8 +460,8 @@ class ScenarioResultCache:
 
 
 class ScenarioTimerPool:
-    """One registered :class:`~repro.sta.incremental.IncrementalTimer`
-    per scenario, kept warm across ECO iterations.
+    """One :class:`~repro.sta.incremental.IncrementalTimer` per scenario,
+    kept warm across ECO iterations.
 
     Re-signoff inside a closure loop used to re-bind a fresh STA per
     scenario per iteration — full graph construction, parasitic
@@ -504,12 +470,6 @@ class ScenarioTimerPool:
     its downstream cone, a topology-changing edit set (or an edit the
     timer cannot absorb) falls back to the timer's honest
     :meth:`~repro.sta.incremental.IncrementalTimer.full_update`.
-
-    Cache invalidation is keyed to the actual edit set: registered
-    :class:`ScenarioResultCache` objects are attached to every timer, and
-    the timers only invalidate them when an update really edits the
-    design — a no-op pass (empty edit list) leaves cached scenario
-    reports intact.
 
     The pool is a *serial* engine by design: timers hold live, mutable
     STA state bound to the shared design, and their ECO retimes edit
@@ -535,22 +495,12 @@ class ScenarioTimerPool:
         #: so chaos plans exercise the reference fallback on warm pools.
         self.fault_injector = fault_injector
         self._timers: Dict[str, "IncrementalTimer"] = {}
-        self._caches: List[ScenarioResultCache] = []
         #: Retime calls served by a warm timer's cone-limited update.
         self.incremental_retimes = 0
         #: Retime calls that re-ran fully (topology change or fallback).
         self.full_retimes = 0
         #: Fresh STA constructions (first signoff of a scenario).
         self.builds = 0
-        #: Incremental attempts the timer refused (arc-set change) that
-        #: were transparently downgraded to a full update.
-        self.fallbacks = 0
-
-    def register_cache(self, cache: ScenarioResultCache) -> None:
-        """Attach a result cache to every current and future timer."""
-        self._caches.append(cache)
-        for timer in self._timers.values():
-            timer.register_cache(cache)
 
     def get(self, name: str):
         """The warm timer for ``name``, or None before its first build."""
@@ -564,23 +514,11 @@ class ScenarioTimerPool:
         from repro.sta.incremental import IncrementalTimer
 
         timer = IncrementalTimer(sta, engine=self.engine)
-        for cache in self._caches:
-            timer.register_cache(cache)
         self._timers[name] = timer
         return timer
 
     def discard(self, name: str) -> None:
         self._timers.pop(name, None)
-
-    @property
-    def retimes(self) -> int:
-        return self.incremental_retimes + self.full_retimes
-
-    @property
-    def reuse_ratio(self) -> float:
-        """Fraction of retimes served cone-limited by a warm timer."""
-        total = self.retimes
-        return self.incremental_retimes / total if total else 0.0
 
     def retime(
         self,
@@ -620,7 +558,6 @@ class ScenarioTimerPool:
         except TimingError:
             # The edit outran the cone update (arc set changed); the
             # timer is untouched, so the honest fallback still applies.
-            self.fallbacks += 1
             self.full_retimes += 1
             return timer.full_update()
         self.incremental_retimes += 1

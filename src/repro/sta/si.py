@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.netlist.design import PinRef
 from repro.parasitics.synthesis import ParasiticExtractor
 from repro.sta.graph import TimingGraph
 

@@ -66,8 +66,3 @@ ZERO_CELSIUS_IN_KELVIN = 273.15
 def celsius_to_kelvin(temp_c: float) -> float:
     """Convert a temperature from degrees Celsius to kelvin."""
     return temp_c + ZERO_CELSIUS_IN_KELVIN
-
-
-def kelvin_to_celsius(temp_k: float) -> float:
-    """Convert a temperature from kelvin to degrees Celsius."""
-    return temp_k - ZERO_CELSIUS_IN_KELVIN

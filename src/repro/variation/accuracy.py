@@ -30,7 +30,6 @@ from repro.variation.montecarlo import (
     _path_cell_stages,
     mc_path_delays,
     nominal_path_delay,
-    path_delay_statistics,
 )
 
 MODELS = ("flat", "aocv", "pocv", "lvf")

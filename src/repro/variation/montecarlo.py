@@ -22,7 +22,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.errors import TimingError
-from repro.sta.graph import CellEdge, NetEdge
+from repro.sta.graph import CellEdge
 from repro.sta.propagation import driver_load
 from repro.sta.reports import TimingPath
 

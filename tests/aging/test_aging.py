@@ -12,7 +12,7 @@ from repro.aging.signoff import (
     sweep_aging_corners,
 )
 from repro.errors import ReproError, SignoffError
-from repro.liberty import LibraryCondition, make_library
+from repro.liberty import make_library
 from repro.netlist.generators import random_logic, tiny_design
 from repro.sta import Constraints
 

@@ -5,8 +5,6 @@ import random
 import pytest
 
 from repro.aging.monitors import (
-    RingOscillator,
-    MonitorStage,
     design_dependent_ro,
     evaluate_tracking,
     generic_ro,

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.beol.fill import FillEngine, FillPolicy
-from repro.beol.stack import default_stack
 from repro.errors import CornerError
 from repro.liberty import make_library
 from repro.netlist.generators import random_logic

@@ -9,7 +9,7 @@ from repro.beol.corners import (
     per_layer_corner_space,
     tightened_corner,
 )
-from repro.beol.stack import BeolStack, MetalLayer, default_stack
+from repro.beol.stack import MetalLayer, default_stack
 from repro.errors import CornerError
 
 

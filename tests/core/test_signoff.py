@@ -7,8 +7,7 @@ from repro.liberty import LibraryCondition, make_library
 from repro.netlist.generators import random_logic
 from repro.sta import Constraints
 from repro.sta.mcmm import Scenario, ScenarioSet
-from repro.core.margins import MarginStackup
-from repro.core.signoff import SignoffPolicy, SignoffVerdict, evaluate_signoff
+from repro.core.signoff import SignoffPolicy, evaluate_signoff
 
 
 @pytest.fixture(scope="module")

@@ -9,7 +9,6 @@ from repro.liberty import make_library
 from repro.netlist.generators import random_logic
 from repro.sta import Constraints
 from repro.core.history import (
-    CARE_ABOUTS,
     OLD_VS_NEW,
     care_abouts_at,
     new_at,

@@ -6,7 +6,6 @@ from repro.errors import NetlistError, TimingError
 from repro.liberty import make_library
 from repro.netlist.generators import random_logic
 from repro.sta import STA, Constraints
-from repro.sta.propagation import Derates
 from repro.cts.skew import clock_skew_report, multi_corner_skew
 from repro.cts.tree import synthesize_clock_tree
 from repro.cts.useful_skew import (

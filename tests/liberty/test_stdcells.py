@@ -5,7 +5,6 @@ import pytest
 from repro.errors import LibraryError
 from repro.liberty import LibraryCondition, make_library
 from repro.liberty.arcs import TimingSense, TimingType
-from repro.liberty.stdcells import PROCESS_CORNERS
 
 
 @pytest.fixture(scope="module")

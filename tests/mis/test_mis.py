@@ -7,7 +7,6 @@ from repro.liberty import make_library
 from repro.mis.analysis import Fig4Row, fig4_study, mis_window_probability
 from repro.mis.derate import (
     MisDerateModel,
-    MisHoldAdjustment,
     mis_hold_adjustments,
 )
 from repro.netlist.generators import random_logic

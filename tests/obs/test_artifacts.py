@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.errors import ReproError
 from repro.obs import format_table, write_artifact
 
 

@@ -4,7 +4,7 @@ import pickle
 import threading
 
 from repro.obs import tracing
-from repro.obs.tracing import NULL_SPAN, NullSpan, Span, Tracer
+from repro.obs.tracing import NULL_SPAN, NullSpan, Tracer
 
 
 class TestSpanTree:

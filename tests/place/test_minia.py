@@ -9,7 +9,6 @@ from repro.liberty import make_library
 from repro.netlist.generators import random_logic, tiny_design
 from repro.netlist.transforms import swap_vt
 from repro.place.minia import (
-    DEFAULT_MIN_IMPLANT_WIDTH,
     find_minia_violations,
     fix_minia_violations,
 )

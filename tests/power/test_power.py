@@ -9,7 +9,6 @@ from repro.liberty import LibraryCondition, make_library
 from repro.netlist.generators import tiny_design
 from repro.parasitics.synthesis import ParasiticExtractor
 from repro.power.models import (
-    PowerReport,
     design_power,
     dynamic_power,
     power_area_summary,

@@ -10,7 +10,7 @@ import pytest
 from repro.beol.corners import conventional_corners
 from repro.beol.stack import default_stack
 from repro.errors import ServeError, TimingError
-from repro.obs import tracing
+from repro.obs import metrics, tracing
 from repro.obs.export import summarize
 from repro.obs.export import chrome_trace
 from repro.runtime import RunJournal
@@ -200,6 +200,28 @@ class TestSessions:
             assert result["version"] == 0
         assert daemon.quarantines == 0
 
+    def test_retimes_after_an_eco_keep_each_others_reports(
+            self, daemon_factory):
+        """Content keys alone decide validity: one scenario's retime
+        after an ECO leaves the report another just stored in place."""
+        design = make_design()
+        daemon = daemon_factory(design=design)
+        edit = {"kind": "set_cell", "target": nand2_instance(design),
+                "value": "NAND2_X4_SVT"}
+        with client_for(daemon) as client:
+            sid = client.request("open_session")["session"]
+            client.request("timing", session=sid)  # builds both timers
+            client.request("apply_eco", {"edits": [edit]}, session=sid)
+            first = client.request("timing", session=sid)
+            misses = client.request("stats")["cache"]["misses"]
+            second = client.request("timing", session=sid)
+            stats = client.request("stats")
+        assert first["sources"] == {"tt_typ": "incremental",
+                                    "ss_cw": "incremental"}
+        assert second["sources"] == {"tt_typ": "cache", "ss_cw": "cache"}
+        assert stats["cache"]["misses"] == misses
+        assert second["scenarios"] == first["scenarios"]
+
     def test_apply_eco_requires_session(self, daemon_factory):
         daemon = daemon_factory()
         with client_for(daemon) as client:
@@ -325,6 +347,43 @@ class TestBackpressure:
             assert sock.recv(65536) == b""
         finally:
             sock.close()
+
+    def test_malformed_control_request_keeps_the_connection(
+            self, daemon_factory, monkeypatch):
+        daemon = daemon_factory()
+        frames = [
+            json.dumps({"id": 1, "op": "open_session",
+                        "params": {"session_id": ["x"]}}).encode() + b"\n",
+            json.dumps({"id": 2, "op": "discard",
+                        "params": {"session_id": 7}}).encode() + b"\n",
+            json.dumps({"id": 3, "op": "ping"}).encode() + b"\n",
+        ]
+        responses = raw_exchange(daemon.port, frames, expected=3)
+        assert [r["id"] for r in responses] == [1, 2, 3]
+        for bad in responses[:2]:
+            assert not bad["ok"]
+            assert bad["error"]["code"] == "E_BAD_REQUEST"
+        assert responses[2]["result"]["pong"] is True
+
+        # Any other failure of a control op is answered and counted.
+        def broken(session_id):
+            raise RuntimeError("session table broke")
+
+        monkeypatch.setattr(daemon.sessions, "close", broken)
+        registry = metrics.MetricsRegistry()
+        previous = metrics.set_default_registry(registry)
+        try:
+            responses = raw_exchange(daemon.port, [
+                json.dumps({"id": 4, "op": "close_session",
+                            "session": "s-1"}).encode() + b"\n",
+                json.dumps({"id": 5, "op": "ping"}).encode() + b"\n",
+            ], expected=2)
+        finally:
+            metrics.set_default_registry(previous)
+        assert responses[0]["error"]["code"] == "E_INTERNAL"
+        assert "session table broke" in responses[0]["error"]["message"]
+        assert responses[1]["result"]["pong"] is True
+        assert registry.counter("serve.internal_errors").value == 1
 
     def test_unparseable_line_gets_null_id_error(self, daemon_factory):
         daemon = daemon_factory()

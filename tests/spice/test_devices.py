@@ -1,13 +1,10 @@
 """Unit tests for the MOSFET device model."""
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.spice.devices import (
-    MosParams,
     NMOS_16NM,
     PMOS_16NM,
     Transistor,

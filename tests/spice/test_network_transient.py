@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.spice.devices import NMOS_16NM, PMOS_16NM
 from repro.spice.gates import add_inverter, add_nand, add_nor
 from repro.spice.network import GROUND, Circuit
 from repro.spice.stimulus import Constant, Ramp

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.liberty import LibraryCondition, make_library
+from repro.liberty import make_library
 from repro.liberty.aocv import AocvTable
 from repro.netlist.design import PinRef
 from repro.netlist.generators import random_logic, tiny_design

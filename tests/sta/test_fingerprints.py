@@ -1,7 +1,7 @@
 """Content fingerprints: the encoding every digest is taken over (byte
 for byte the same as the isinstance-chain encoder it replaced, and
-pinned to recorded digests), the shared token-validated memo, and its
-production users (session overlays, the daemon's scenario fingerprints,
+pinned to recorded digests), and the places that keep a digest instead
+of recomputing it (session overlays, the daemon's scenario fingerprints,
 the per-pass cell-digest memo)."""
 
 import builtins
@@ -33,7 +33,6 @@ from repro.sta.hier import HierScheduler
 from repro.sta.mcmm import Scenario, standard_scenario_set
 from repro.sta.propagation import Derates
 from repro.sta.scheduler import (
-    FingerprintMemo,
     constraints_fingerprint,
     design_fingerprint,
     fingerprint_pass,
@@ -49,72 +48,38 @@ def corner_library(process, vdd, temp):
         LibraryCondition(process=process, vdd=vdd, temp_c=temp))
 
 
-class TestFingerprintMemo:
-    def test_caches_under_stable_token(self):
-        memo = FingerprintMemo()
-        calls = []
+def counting(monkeypatch, module, name):
+    """Count the calls of ``module.name`` for the rest of the test."""
+    calls = []
+    original = getattr(module, name)
 
-        def compute():
-            calls.append(1)
-            return "digest-a"
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
 
-        assert memo.get("k", 7, compute) == "digest-a"
-        assert memo.get("k", 7, compute) == "digest-a"
-        assert len(calls) == 1
-        assert memo.hits == 1 and memo.misses == 1
-        assert len(memo) == 1
-
-    def test_token_move_recomputes(self):
-        memo = FingerprintMemo()
-        assert memo.get("k", 1, lambda: "one") == "one"
-        assert memo.get("k", 2, lambda: "two") == "two"
-        # Stale tokens are not kept around: going back recomputes too.
-        assert memo.get("k", 1, lambda: "one-again") == "one-again"
-        assert memo.misses == 3 and memo.hits == 0
-
-    def test_none_token_means_compute_once(self):
-        memo = FingerprintMemo()
-        memo.get("s1", None, lambda: "fp1")
-        assert memo.get("s1", None, lambda: pytest.fail("recomputed")) \
-            == "fp1"
-
-    def test_keys_are_independent(self):
-        memo = FingerprintMemo()
-        memo.get("a", 0, lambda: "fa")
-        memo.get("b", 0, lambda: "fb")
-        assert memo.get("a", 0, lambda: "x") == "fa"
-        assert memo.get("b", 0, lambda: "x") == "fb"
-        assert len(memo) == 2
-
-    def test_invalidate(self):
-        memo = FingerprintMemo()
-        memo.get("a", 0, lambda: "fa")
-        memo.get("b", 0, lambda: "fb")
-        memo.invalidate("a")
-        assert len(memo) == 1
-        assert memo.get("a", 0, lambda: "fa2") == "fa2"
-        memo.invalidate()
-        assert len(memo) == 0
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
 
 
 class TestOverlayFingerprint:
-    """The overlay memoizes its design fingerprint through the shared
-    helper, keyed by commit version."""
+    """The overlay keeps its design fingerprint per commit version."""
 
     @pytest.fixture()
     def overlay(self):
         design = random_logic(name="fpd", n_gates=40, n_levels=5, seed=2)
         return DesignOverlay(design, "s0")
 
-    def test_memoized_per_version(self, overlay):
+    def test_memoized_per_version(self, overlay, monkeypatch):
+        calls = counting(monkeypatch, scheduler, "design_fingerprint")
         fp1 = overlay.content_fingerprint()
         fp2 = overlay.content_fingerprint()
         assert fp1 == fp2
-        assert overlay._fp_memo.hits == 1
-        assert overlay._fp_memo.misses == 1
+        assert len(calls) == 1
         assert fp1 == design_fingerprint(overlay.materialize())
 
-    def test_apply_bumps_version_and_fingerprint(self, overlay):
+    def test_apply_bumps_version_and_fingerprint(self, overlay,
+                                                 monkeypatch):
+        calls = counting(monkeypatch, scheduler, "design_fingerprint")
         before = overlay.content_fingerprint()
         inst = sorted(overlay.base.instances)[0]
         current = overlay.cell_of(inst)
@@ -124,7 +89,8 @@ class TestOverlayFingerprint:
         overlay.apply([OverlayEdit("set_cell", inst, alt)])
         after = overlay.content_fingerprint()
         assert after != before
-        assert overlay._fp_memo.misses == 2
+        assert overlay.content_fingerprint() == after
+        assert len(calls) == 2
 
     def test_discard_restores_base_fingerprint(self, overlay):
         base_fp = overlay.content_fingerprint()
@@ -140,8 +106,9 @@ class TestOverlayFingerprint:
 
 
 class TestDaemonScenarioFingerprints:
-    def test_daemon_warms_the_memo_at_startup(self):
-        from repro.serve.server import TimingDaemon
+    def test_daemon_warms_the_memo_at_startup(self, monkeypatch):
+        from repro.serve import server
+        from repro.serve.client import TimingClient
         from repro.sta.constraints import Constraints
         from repro.sta.mcmm import Scenario
 
@@ -152,12 +119,21 @@ class TestDaemonScenarioFingerprints:
             Scenario("tt_typ", lib, cons),
             Scenario("tt_cw", lib, cons, beol_corner_name="cw"),
         ]
-        daemon = TimingDaemon(design, scenarios)
-        assert len(daemon._fingerprints) == 2
-        for s in scenarios:
-            assert daemon._fingerprints.get(
-                s.name, None, lambda: pytest.fail("not warmed")) \
-                == scenario_fingerprint(s)
+        calls = counting(monkeypatch, server, "scenario_fingerprint")
+        daemon = server.TimingDaemon(design, scenarios)
+        assert len(calls) == 2
+        assert daemon._fingerprints == {
+            s.name: scenario_fingerprint(s) for s in scenarios}
+        # Queries read the start-up digests; none is taken again.
+        daemon.start()
+        try:
+            with TimingClient("127.0.0.1", daemon.port,
+                              timeout_s=30.0) as client:
+                client.request("timing")
+                client.request("timing")
+        finally:
+            daemon.stop()
+        assert len(calls) == 2
 
 
 class TestFingerprintPass:
@@ -201,8 +177,9 @@ class TestFingerprintPass:
         with fingerprint_pass() as fresh:
             assert fresh is not outer and len(fresh) == 0
 
-    def test_concurrent_passes_do_not_share_a_memo(self):
+    def test_concurrent_passes_do_not_share_a_memo(self, monkeypatch):
         lib = make_library()
+        calls = counting(monkeypatch, scheduler, "_cell_digest")
         barrier = threading.Barrier(2)
         memos = {}
 
@@ -221,9 +198,10 @@ class TestFingerprintPass:
             t.join(timeout=60)
             assert not t.is_alive()
         assert memos[0] is not memos[1]
+        # Each pass hashed every cell itself, once.
+        assert len(calls) == 2 * len(lib.cells)
         for memo in memos.values():
-            assert len(memo) == memo.misses == len(lib.cells)
-            assert memo.hits == 0
+            assert len(memo) == len(lib.cells)
 
     def test_scenario_fingerprint_is_stable_across_processes(self):
         """Journal keys live on disk: a fresh interpreter (with its own

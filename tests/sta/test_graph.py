@@ -7,7 +7,7 @@ from repro.liberty import make_library
 from repro.netlist.design import Design, PinRef, PortDirection
 from repro.netlist.generators import random_logic, tiny_design
 from repro.sta.constraints import Constraints
-from repro.sta.graph import CellEdge, NetEdge, TimingGraph
+from repro.sta.graph import NetEdge, TimingGraph
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,6 @@
 """Hierarchical signoff: multi-clock engine, ETM-vs-flat agreement,
 process fan-out, caching and degradation."""
 
-import math
 import os
 
 import pytest
@@ -334,10 +333,6 @@ class TestCachingAndDegradation:
         with pytest.raises(TimingError, match="anchored"):
             HierScheduler(hier, [scen], jobs=1,
                           executor="serial").signoff()
-        relaxed = HierScheduler(hier, [scen], jobs=1, executor="serial",
-                                strict=False).signoff()
-        assert relaxed.top is not None
-        assert relaxed.merged_wns("setup") > -math.inf
 
     def test_outcome_render_mentions_blocks(self, lib):
         hier = hierarchical_soc(seed=1, n_blocks=2)

@@ -13,7 +13,6 @@ from repro.netlist.transforms import swap_vt, upsize
 from repro.sta import STA, Constraints
 from repro.sta.graph import NetEdge
 from repro.sta.incremental import IncrementalTimer
-from repro.sta.scheduler import ScenarioResultCache
 
 
 @pytest.fixture(scope="module")
@@ -300,7 +299,7 @@ class TestOwnership:
 
 
 class TestNoOpUpdate:
-    """A no-op edit set must not invalidate caches or recompute."""
+    """A no-op edit set must not recompute."""
 
     def test_noop_returns_existing_report(self, lib):
         design, sta = fresh_setup(lib, n_gates=80)
@@ -310,31 +309,6 @@ class TestNoOpUpdate:
         assert report is before
         assert timer.incremental_updates == 0
         assert timer.full_updates == 0
-
-    def test_noop_keeps_registered_caches_warm(self, lib):
-        design, sta = fresh_setup(lib, n_gates=80)
-        timer = IncrementalTimer(sta)
-        cache = ScenarioResultCache()
-        cache.store(design.name, "dfp", "sfp", sta.report)
-        timer.register_cache(cache)
-
-        timer.update_cells([])
-        assert cache.stats.invalidations == 0
-        assert cache.lookup(design.name, "dfp", "sfp") is sta.report
-        assert cache.stats.hits == 1
-        assert cache.stats.misses == 0
-
-        # A real edit, by contrast, drops the design's cached snapshots.
-        name = next(
-            i.name for i in design.combinational_instances(lib)
-            if i.cell_name.startswith("NAND2")
-        )
-        assert upsize(design, lib, name)
-        timer.update_cells([name])
-        assert cache.stats.invalidations == 1
-        assert cache.lookup(design.name, "dfp", "sfp") is None
-        assert cache.stats.hits == 1
-        assert cache.stats.misses == 1
 
     def test_noop_before_first_report_builds_one(self, lib):
         design, sta = fresh_setup(lib, n_gates=80)
@@ -362,9 +336,6 @@ class TestAtomicity:
     def test_failed_swap_mutates_nothing(self, lib):
         design, sta = fresh_setup(lib, n_gates=120)
         timer = IncrementalTimer(sta)
-        cache = ScenarioResultCache()
-        cache.store(design.name, "dfp", "sfp", sta.report)
-        timer.register_cache(cache)
         name = next(
             i.name for i in design.combinational_instances(lib)
             if i.cell_name.startswith("NAND2")
@@ -379,7 +350,6 @@ class TestAtomicity:
         assert sta.report is report_before
         assert sta.prop.arrivals == arrivals_before
         assert timer.incremental_updates == 0
-        assert cache.stats.invalidations == 0  # caches untouched too
         design.instance(name).cell_name = old_cell
 
     def test_failed_batch_applies_no_member(self, lib):

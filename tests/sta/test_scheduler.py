@@ -1,5 +1,7 @@
 """Tests for the parallel signoff scheduler and its result cache."""
 
+import sys
+import threading
 import time
 
 import numpy as np
@@ -14,6 +16,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.runtime.supervisor import RetryPolicy
 from repro.sta import STA, Constraints, IncrementalTimer
 from repro.sta.mcmm import Scenario, ScenarioSet
+from repro.sta.reports import TimingReport
 from repro.sta.scheduler import (
     ScenarioResultCache,
     SignoffScheduler,
@@ -271,6 +274,48 @@ class TestCache:
         assert cache.keys()[-1] == oldest
         assert len(cache) == 2
 
+    def test_threads_share_one_cache(self):
+        """Workers store and look up while other threads invalidate, as
+        the daemon's workers and readers do: no thread fails, and no
+        count is lost."""
+        cache = ScenarioResultCache(max_entries=4, verify=True)
+        report = TimingReport()
+        lookups = [0, 0, 0]
+        errors = []
+        barrier = threading.Barrier(3)
+
+        def hammer(index):
+            try:
+                barrier.wait(timeout=30)
+                stop = time.monotonic() + 1.0
+                n = 0
+                while time.monotonic() < stop:
+                    design = f"d{n % 3}"
+                    cache.store(design, str(n % 5), "s", report)
+                    cache.lookup(design, str((n + index) % 5), "s")
+                    lookups[index] += 1
+                    if n % 3 == index:
+                        cache.invalidate_design(design)
+                    n += 1
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(i,))
+                       for i in range(3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert cache.stats.hits + cache.stats.misses == sum(lookups)
+        assert len(cache) <= 4
+
     def test_incremental_timer_invalidates(self, lib):
         c = Constraints.single_clock(520.0)
         design = make_design()
@@ -282,18 +327,15 @@ class TestCache:
         sta = STA(design, lib, c)
         sta.report = sta.run()
         timer = IncrementalTimer(sta)
-        timer.register_cache(cache)
         name = next(
             i.name for i in design.combinational_instances(lib)
             if i.cell_name.startswith("NAND2")
         )
         assert upsize(design, lib, name)
         timer.update_cells([name])
-        assert len(cache) == 0
-        assert cache.stats.invalidations == 1
 
-        # Re-signoff recomputes (content changed *and* cache was dropped)
-        # and agrees with a from-scratch run on the edited design.
+        # Re-signoff recomputes (the content key changed) and agrees
+        # with a from-scratch run on the edited design.
         outcome = scheduler.signoff(design)
         assert outcome.recomputed == ["tt"]
         fresh = Scenario("tt", lib, c).run(design, scheduler.stack)
@@ -460,6 +502,19 @@ class TestMonteCarloBatching:
             evaluate_samples(fails_from_three, 6, jobs=2)
         assert info.value.context["task"] == "sample-3"
 
+    def test_failed_sample_is_not_called_quarantined(self):
+        """An aborted batch quarantines nothing; the error says so."""
+        from repro.errors import TaskDegradedError
+        from repro.spice.montecarlo import evaluate_samples
+
+        def diverges(index, rng):
+            raise ValueError("sample diverged")
+
+        with pytest.raises(TaskDegradedError) as info:
+            evaluate_samples(diverges, 2)
+        assert info.value.message.startswith("failed after 1 attempt(s): ")
+        assert "quarantine" not in str(info.value)
+
 
 class TestScenarioTimerPool:
     def _pool_setup(self, lib, period=520.0):
@@ -476,7 +531,7 @@ class TestScenarioTimerPool:
         design, c, pool, build = self._pool_setup(lib)
         report = pool.retime("tt", build=build)
         assert pool.builds == 1
-        assert pool.retimes == 0
+        assert pool.incremental_retimes == pool.full_retimes == 0
         assert pool.get("tt") is not None
         assert report is pool.get("tt").sta.report
 
@@ -491,7 +546,6 @@ class TestScenarioTimerPool:
         assert pool.get("tt") is timer_before  # reused, not re-bound
         assert pool.incremental_retimes == 1
         assert pool.full_retimes == 0
-        assert pool.reuse_ratio == 1.0
         assert timer_before.last_cone_size > 0
 
     def test_topology_change_forces_full_update(self, lib):
@@ -529,38 +583,6 @@ class TestScenarioTimerPool:
         pool = ScenarioTimerPool()
         with pytest.raises(TimingError, match="no warm timer"):
             pool.retime("tt")
-
-    def test_noop_retime_keeps_cache_warm(self, lib):
-        design, c, pool, build = self._pool_setup(lib)
-        cache = ScenarioResultCache()
-        pool.register_cache(cache)
-        pool.retime("tt", build=build)
-        cache.store(design.name, "dfp", "sfp",
-                    pool.get("tt").sta.report)
-
-        # Empty edit set: serve the standing report, caches untouched.
-        pool.retime("tt", edited_instances=[])
-        assert cache.stats.invalidations == 0
-        assert len(cache) == 1
-
-        # A real edit set drops the design's snapshots.
-        name = next(
-            i.name for i in design.combinational_instances(lib)
-            if i.cell_name.startswith("NAND2")
-        )
-        assert upsize(design, lib, name)
-        pool.retime("tt", edited_instances=[name])
-        assert cache.stats.invalidations == 1
-        assert len(cache) == 0
-
-    def test_register_cache_reaches_existing_timers(self, lib):
-        design, c, pool, build = self._pool_setup(lib)
-        pool.retime("tt", build=build)
-        cache = ScenarioResultCache()
-        cache.store(design.name, "dfp", "sfp", pool.get("tt").sta.report)
-        pool.register_cache(cache)  # after the timer already exists
-        pool.retime("tt", topology_changed=True)
-        assert cache.stats.invalidations == 1
 
     def test_per_scenario_timers_are_independent(self, lib, lib_ss):
         from repro.sta.scheduler import ScenarioTimerPool

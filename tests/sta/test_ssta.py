@@ -2,7 +2,6 @@
 sample-vector oracle, yield and criticality invariants, and post-silicon
 clock-buffer tuning on the PST benchmark block."""
 
-import numpy as np
 import pytest
 
 from repro.beol.stack import default_stack
@@ -11,7 +10,7 @@ from repro.liberty import make_library
 from repro.netlist.generators import random_logic
 from repro.parasitics.statistical import StatisticalAnnotator
 from repro.sta import STA, Constraints
-from repro.sta.algebra import CanonicalAlgebra, VariationModel
+from repro.sta.algebra import VariationModel
 from repro.sta.ssta import (
     SstaRun,
     monte_carlo_ssta,

@@ -16,7 +16,7 @@ import re
 
 import pytest
 
-from repro.liberty import LibraryCondition, make_library
+from repro.liberty import make_library
 
 RESULTS_DIR = pathlib.Path(__file__).parent.parent / "benchmarks" / "results"
 

@@ -1,8 +1,6 @@
 """Cross-cutting property-based tests (hypothesis) for DESIGN.md's
 invariant list — the ones not already covered inside module suites."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings

@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.liberty import make_library
-from repro.netlist.design import Design, Instance
+from repro.netlist.design import Design
 from repro.netlist.generators import random_logic
 from repro.sta import Constraints
 from repro.validate import (
