@@ -107,6 +107,27 @@ def _make_library(args):
     )
 
 
+def _scenario_library(process: str, vdd: float, temp: float):
+    """The library factory of the standard scenario set."""
+    return make_library(
+        LibraryCondition(process=process, vdd=vdd, temp_c=temp)
+    )
+
+
+def _batch_journal(args):
+    """The ``--checkpoint``/``--resume`` journal of a batch run (None
+    without ``--checkpoint``). A fresh run drops a stale journal."""
+    from repro.runtime import RunJournal
+
+    if args.checkpoint:
+        if not args.resume and os.path.exists(args.checkpoint):
+            os.remove(args.checkpoint)
+        return RunJournal(args.checkpoint)
+    if args.resume:
+        raise ReproError("--resume requires --checkpoint PATH")
+    return None
+
+
 def _make_setup(args):
     from repro.sta import Constraints
 
@@ -188,7 +209,7 @@ def _cmd_sta(args) -> int:
 
 
 def _cmd_signoff(args) -> int:
-    from repro.runtime import RetryPolicy, RunJournal
+    from repro.runtime import RetryPolicy
     from repro.sta.mcmm import standard_scenario_set
     from repro.sta.scheduler import ScenarioResultCache, SignoffScheduler
     from repro.validate import ensure_valid
@@ -218,12 +239,7 @@ def _cmd_signoff(args) -> int:
 
     design, _, constraints = _make_setup(args)
 
-    def factory(process: str, vdd: float, temp: float):
-        return make_library(
-            LibraryCondition(process=process, vdd=vdd, temp_c=temp)
-        )
-
-    scenario_set = standard_scenario_set(constraints, factory)
+    scenario_set = standard_scenario_set(constraints, _scenario_library)
 
     if not args.no_validate:
         # Lint before spending compute: netlist/constraints once, plus
@@ -231,13 +247,7 @@ def _cmd_signoff(args) -> int:
         for scenario in scenario_set.scenarios:
             ensure_valid(design, scenario.library, scenario.constraints)
 
-    journal = None
-    if args.checkpoint:
-        if not args.resume and os.path.exists(args.checkpoint):
-            os.remove(args.checkpoint)  # fresh run: drop stale journal
-        journal = RunJournal(args.checkpoint)
-    elif args.resume:
-        raise ReproError("--resume requires --checkpoint PATH")
+    journal = _batch_journal(args)
 
     fault_injector = None
     if args.inject_faults is not None:
@@ -306,12 +316,7 @@ def _cmd_signoff_ssta(args) -> int:
 
     scenarios = [(library.name, library, constraints)]
     if args.ssta_corners > 1:
-        def factory(process: str, vdd: float, temp: float):
-            return make_library(
-                LibraryCondition(process=process, vdd=vdd, temp_c=temp)
-            )
-
-        sset = standard_scenario_set(constraints, factory)
+        sset = standard_scenario_set(constraints, _scenario_library)
         scenarios = [
             (s.name, s.library, s.constraints)
             for s in sset.scenarios[: args.ssta_corners]
@@ -354,12 +359,7 @@ def _cmd_signoff_hier(args) -> int:
     )
     constraints = hier.top_constraints(period=args.period)
 
-    def factory(process: str, vdd: float, temp: float):
-        return make_library(
-            LibraryCondition(process=process, vdd=vdd, temp_c=temp)
-        )
-
-    scenario_set = standard_scenario_set(constraints, factory)
+    scenario_set = standard_scenario_set(constraints, _scenario_library)
     scheduler = HierScheduler(
         hier,
         scenario_set.scenarios,
@@ -391,19 +391,13 @@ def _cmd_signoff_hier(args) -> int:
 
 def _cmd_closure(args) -> int:
     from repro.core.closure import ClosureConfig, ClosureEngine
-    from repro.runtime import RetryPolicy, RunJournal
+    from repro.runtime import RetryPolicy
     from repro.validate import ensure_valid
 
     design, library, constraints = _make_setup(args)
     if not args.no_validate:
         ensure_valid(design, library, constraints)
-    journal = None
-    if args.checkpoint:
-        if not args.resume and os.path.exists(args.checkpoint):
-            os.remove(args.checkpoint)
-        journal = RunJournal(args.checkpoint)
-    elif args.resume:
-        raise ReproError("--resume requires --checkpoint PATH")
+    journal = _batch_journal(args)
     engine = ClosureEngine(
         design, library, constraints,
         policy=RetryPolicy(retries=args.retries),
@@ -492,12 +486,7 @@ def _cmd_serve(args) -> int:
 
     design, _, constraints = _make_setup(args)
 
-    def factory(process: str, vdd: float, temp: float):
-        return make_library(
-            LibraryCondition(process=process, vdd=vdd, temp_c=temp)
-        )
-
-    scenario_set = standard_scenario_set(constraints, factory)
+    scenario_set = standard_scenario_set(constraints, _scenario_library)
     scenarios = scenario_set.scenarios
     if args.corners:
         scenarios = scenarios[: args.corners]

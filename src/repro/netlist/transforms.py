@@ -28,13 +28,13 @@ class Edit:
         return f"{self.kind}({self.target}: {self.before} -> {self.after})"
 
 
-def swap_cell(design: Design, library: Library, instance_name: str,
-              new_cell_name: str) -> Edit:
-    """Replace an instance's cell with a footprint-compatible variant."""
-    inst = design.instance(instance_name)
-    if inst.dont_touch:
-        raise NetlistError(f"instance {instance_name} is marked dont_touch")
-    old_cell = library.cell(inst.cell_name)
+def check_swap(library: Library, instance_name: str, old_cell_name: str,
+               new_cell_name: str) -> None:
+    """The swap-legality rule: ``new_cell_name`` may replace
+    ``old_cell_name`` on ``instance_name`` only with the same footprint
+    and pin set in ``library``. Raises :class:`NetlistError` (or
+    :class:`LibraryError` for an unknown cell) otherwise."""
+    old_cell = library.cell(old_cell_name)
     new_cell = library.cell(new_cell_name)
     if new_cell.footprint != old_cell.footprint:
         raise NetlistError(
@@ -46,6 +46,15 @@ def swap_cell(design: Design, library: Library, instance_name: str,
             f"cannot swap {instance_name}: pin sets differ between "
             f"{old_cell.name} and {new_cell.name}"
         )
+
+
+def swap_cell(design: Design, library: Library, instance_name: str,
+              new_cell_name: str) -> Edit:
+    """Replace an instance's cell with a footprint-compatible variant."""
+    inst = design.instance(instance_name)
+    if inst.dont_touch:
+        raise NetlistError(f"instance {instance_name} is marked dont_touch")
+    check_swap(library, instance_name, inst.cell_name, new_cell_name)
     before = inst.cell_name
     inst.cell_name = new_cell_name
     return Edit("swap", instance_name, before, new_cell_name)

@@ -101,13 +101,10 @@ class StatisticalAnnotator:
         for net_name, net in self.extractor.design.nets.items():
             if not net.loads or net.driver is None:
                 continue
-            para = self.extractor.extract(net_name)
             worst = 0.0
             for sink in net.loads:
-                pin_cap = 2.0 if sink.is_port else \
-                    self.extractor._pin_cap(sink)
-                worst = max(worst, self.wire_delay_sigma(net_name, sink,
-                                                         pin_cap))
+                worst = max(worst, self.wire_delay_sigma(
+                    net_name, sink, self.extractor.sink_cap(sink)))
             out[net_name] = worst
         return out
 

@@ -186,17 +186,19 @@ class ParasiticExtractor:
             node = tree.add_node(
                 f"sink:{sink}", prev, r_per_um * seg, c_per_um * seg
             )
-            pin_cap = self._pin_cap(sink)
-            tree.add_cap(node, pin_cap)
+            tree.add_cap(node, self.sink_cap(sink))
         return tree
 
-    def _pin_cap(self, ref: PinRef) -> float:
+    def sink_cap(self, ref: PinRef) -> float:
+        """The pin load a net sees at ``ref``, fF: the library pin cap of
+        an instance pin, a nominal 2.0 fF external load at an output
+        port. Every wire delay and driver load reads this one rule."""
         if ref.is_port:
-            return 2.0  # nominal external load
+            return 2.0
         inst = self.design.instance(ref.instance)
         cell = self.library.cell(inst.cell_name)
         return cell.pin(ref.pin).capacitance
 
     def pin_caps_total(self, net_name: str) -> float:
         net = self.design.get_net(net_name)
-        return sum(self._pin_cap(ref) for ref in net.loads)
+        return sum(self.sink_cap(ref) for ref in net.loads)

@@ -76,6 +76,7 @@ from repro.errors import (
     TimingError,
 )
 from repro.netlist.design import Design
+from repro.netlist.transforms import check_swap
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing as obs_tracing
 from repro.runtime.journal import RunJournal
@@ -981,12 +982,13 @@ class TimingDaemon:
         """Reject ``set_cell`` edits no bound library can honor.
 
         The overlay only validates against the netlist; the daemon also
-        knows the scenario libraries, so a swap to a cell that is
-        missing, footprint-incompatible, or pin-incompatible in *any*
-        scenario's library fails the whole batch up front — as a bad
-        request, before anything commits, instead of crashing the first
-        timing query that binds the edited design. Chained ECOs are
-        checked against the overlay's *current* cell, not the base's.
+        knows the scenario libraries, so a swap that
+        :func:`~repro.netlist.transforms.check_swap` refuses in *any*
+        scenario's library (missing cell, other footprint or pin set)
+        fails the whole batch up front — as a bad request, before
+        anything commits, instead of crashing the first timing query
+        that binds the edited design. Chained ECOs are checked against
+        the overlay's *current* cell, not the base's.
         """
         current: Dict[str, str] = {}
         for edit in edits:
@@ -997,22 +999,8 @@ class TimingDaemon:
                 edit.target, session.overlay.cell_of(edit.target)
             )
             for scenario in self.scenarios.values():
-                library = scenario.library
-                old = library.cell(old_name)  # raises LibraryError
-                new = library.cell(edit.value)
-                if new.footprint != old.footprint:
-                    raise ProtocolError(
-                        f"cannot set {edit.target} to {edit.value}: "
-                        f"footprint {new.footprint!r} != "
-                        f"{old.footprint!r} in {scenario.name}",
-                        target=edit.target,
-                    )
-                if set(new.pins) != set(old.pins):
-                    raise ProtocolError(
-                        f"cannot set {edit.target} to {edit.value}: "
-                        f"pin sets differ in {scenario.name}",
-                        target=edit.target,
-                    )
+                check_swap(scenario.library, edit.target, old_name,
+                           edit.value)
             current[edit.target] = edit.value
 
     def _op_apply_eco(self, session: Session, params: Dict[str, Any],

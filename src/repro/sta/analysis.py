@@ -107,13 +107,6 @@ class STA:
     # ------------------------------------------------------------------ #
     # checks
 
-    def _clock_at(self, ref: PinRef) -> Tuple[float, float, float]:
-        """(early, late, slew) of the rising clock at a CK pin."""
-        arr = self.prop.at(ref, "rise")
-        if not arr.valid:
-            raise TimingError(f"no clock arrival at {ref}; is the clock tied?")
-        return arr.early, arr.late, arr.slew_late
-
     def _origin(self, ref: PinRef, direction: str, mode: str) -> PinRef:
         """Startpoint of the worst late/early path into (ref, direction)."""
         cur, cur_dir = ref, direction
@@ -154,6 +147,42 @@ class STA:
             return None
         return self.constraints.clock_for_port(origin.pin)
 
+    def _capture(self, check: TimingCheck):
+        """A check's capture side, ``(clock, early, late, slew)``: its
+        :class:`ClockSpec`, the rising CK arrivals plus the flop's
+        useful-skew latency, and the CK slew. None when no clock arrives
+        at CK or its clock cannot be resolved."""
+        arr = self.prop.at(check.clock_pin, "rise")
+        clock = self._clock_of_check(check) if arr.valid else None
+        if clock is None:
+            return None
+        latency = self.constraints.clock_latency.get(check.instance, 0.0)
+        return clock, arr.early + latency, arr.late + latency, arr.slew_late
+
+    def _setup_required(self, check: TimingCheck, capture, direction: str,
+                        data_slew: float) -> float:
+        """Latest allowed arrival at a setup check's data pin
+        (``capture`` is the check's :meth:`_capture`)."""
+        clock, clk_early, _, clk_slew = capture
+        setup = check.arc.constraint_value(direction, data_slew, clk_slew)
+        return (clock.period + clk_early - setup - clock.uncertainty_setup
+                - self.constraints.flat_setup_margin)
+
+    def _hold_required(self, check: TimingCheck, capture, direction: str,
+                       data_slew: float) -> float:
+        """Earliest allowed arrival at a hold check's data pin
+        (``capture`` is the check's :meth:`_capture`)."""
+        clock, _, clk_late, clk_slew = capture
+        hold = check.arc.constraint_value(direction, data_slew, clk_slew)
+        return (clk_late + hold + clock.uncertainty_hold
+                + self.constraints.flat_hold_margin)
+
+    def _output_required(self, ref: PinRef, clock) -> float:
+        """Latest allowed arrival at output port ``ref`` against the
+        primary clock."""
+        return (clock.period - self.constraints.output_delays.get(ref.pin, 0.0)
+                - clock.uncertainty_setup)
+
     def _setup_endpoints(self) -> List[EndpointResult]:
         out = []
         if not self.constraints.clocks:
@@ -167,28 +196,18 @@ class STA:
     def _setup_record(self, check: TimingCheck) -> Optional[EndpointResult]:
         """The worst-direction setup result of one check, or None when
         no data arrives at its data pin."""
-        clk_early, _, clk_slew = self._clock_at(check.clock_pin)
-        clock = self._clock_of_check(check)
-        if clock is None:
+        capture = self._capture(check)
+        if capture is None:
             raise TimingError(
-                f"cannot resolve the capture clock of {check.data_pin}"
+                f"no capture clock at {check.clock_pin}; is the clock tied?"
             )
-        clk_early += self.constraints.clock_latency.get(check.instance, 0.0)
         best: Optional[EndpointResult] = None
         for direction in DIRECTIONS:
             if not self.prop.has(check.data_pin, direction):
                 continue
             arr = self.prop.at(check.data_pin, direction)
-            setup = check.arc.constraint_value(
-                direction, arr.slew_late, clk_slew
-            )
-            required = (
-                clock.period
-                + clk_early
-                - setup
-                - clock.uncertainty_setup
-                - self.constraints.flat_setup_margin
-            )
+            required = self._setup_required(check, capture, direction,
+                                            arr.slew_late)
             slack = required - arr.late
             if best is None or slack < best.slack:
                 best = EndpointResult(
@@ -217,27 +236,18 @@ class STA:
     def _hold_record(self, check: TimingCheck) -> Optional[EndpointResult]:
         """The worst-direction hold result of one check, or None when no
         data arrives at its data pin."""
-        _, clk_late, clk_slew = self._clock_at(check.clock_pin)
-        clock = self._clock_of_check(check)
-        if clock is None:
+        capture = self._capture(check)
+        if capture is None:
             raise TimingError(
-                f"cannot resolve the capture clock of {check.data_pin}"
+                f"no capture clock at {check.clock_pin}; is the clock tied?"
             )
-        clk_late += self.constraints.clock_latency.get(check.instance, 0.0)
         best: Optional[EndpointResult] = None
         for direction in DIRECTIONS:
             if not self.prop.has(check.data_pin, direction):
                 continue
             arr = self.prop.at(check.data_pin, direction)
-            hold = check.arc.constraint_value(
-                direction, arr.slew_early, clk_slew
-            )
-            required = (
-                clk_late
-                + hold
-                + clock.uncertainty_hold
-                + self.constraints.flat_hold_margin
-            )
+            required = self._hold_required(check, capture, direction,
+                                           arr.slew_early)
             slack = arr.early - required
             if best is None or slack < best.slack:
                 best = EndpointResult(
@@ -271,11 +281,7 @@ class STA:
         direction, late = self.prop.worst_late(ref)
         if direction is None:
             return None
-        required = (
-            clock.period
-            - self.constraints.output_delays.get(ref.pin, 0.0)
-            - clock.uncertainty_setup
-        )
+        required = self._output_required(ref, clock)
         result = EndpointResult(
             endpoint=ref,
             kind="output",

@@ -11,32 +11,13 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.errors import TimingError
 from repro.netlist.design import PinRef
-from repro.sta.algebra import SCALAR
-from repro.sta.graph import NetEdge
 
 
 def clock_path_pins(sta, ck_ref: PinRef, direction: str = "rise") -> List[PinRef]:
     """Pins along the worst late clock path from the root to ``ck_ref``."""
-    if sta.prop is None:
-        raise TimingError("run() must be called before CPPR analysis")
-    pins: List[PinRef] = []
-    cur, cur_dir = ck_ref, direction
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 10000:
-            raise TimingError("clock path reconstruction did not terminate")
-        pins.append(cur)
-        pred = sta.prop.at(cur, cur_dir).pred_late
-        if pred is None:
-            break
-        edge, src_dir = pred
-        cur = edge.driver if isinstance(edge, NetEdge) else edge.src
-        cur_dir = src_dir
-    pins.reverse()
-    return pins
+    path = sta.path_to(ck_ref, direction, "setup")
+    return [point.ref for point in path.points]
 
 
 def launch_clock_pin(sta, endpoint) -> Optional[PinRef]:
@@ -73,7 +54,7 @@ def cppr_credit(sta, launch_ck: PinRef, capture_ck: PinRef,
     arr = sta.prop.at(common, direction)
     if not arr.valid:
         return 0.0
-    return getattr(sta, "algebra", SCALAR).max(arr.late - arr.early, 0.0)
+    return sta.algebra.max(arr.late - arr.early, 0.0)
 
 
 def endpoint_cppr_credit(sta, endpoint) -> float:

@@ -40,8 +40,10 @@ from repro.errors import TimingError
 from repro.liberty.arcs import ArcTiming, TimingSense
 from repro.liberty.tables import LookupTable2D
 from repro.netlist.design import PinRef
+from repro.sta.algebra import SCALAR
 from repro.sta.analysis import STA
-from repro.sta.propagation import DIRECTIONS, driver_load
+from repro.sta.graph import CellEdge, NetEdge
+from repro.sta.propagation import DIRECTIONS, cell_edge_terms, net_edge_terms
 from repro.sta.required import pin_slack, required_times
 
 #: Degenerate clock-slew axis for budget tables: the budget depends on
@@ -293,7 +295,6 @@ def _anchor_of_input(sta: STA, port: str):
 
 def _extract_input_tables(sta: STA, etm: ExtractedTimingModel,
                           clock_ports) -> None:
-    constraints = sta.constraints
     setup_by_pin = {c.data_pin: c for c in sta.graph.setup_checks()}
     hold_by_pin = {c.data_pin: c for c in sta.graph.hold_checks()}
     for port in sta.design.input_ports():
@@ -316,89 +317,76 @@ def _extract_input_tables(sta: STA, etm: ExtractedTimingModel,
             # Registered-immediately-in discipline violated: the anchor
             # must fan out to flop data pins only. Scalars still apply.
             continue
-        load = sta.prop.loads.get(a_out)
-        if load is None:
-            load = driver_load(sta.graph, sta.parasitics, a_out)
-        para = sta.parasitics.extract(out_net_name)
-        depth = sta.graph.data_depth.get(a_out, 1)
-        is_clock = anchor_in in sta.graph.clock_pins
-        f_late = sta.derates.factor(is_clock, "late", depth,
-                                    anchor_in.instance)
-        f_early = sta.derates.factor(is_clock, "early", depth,
-                                     anchor_in.instance)
+        captures = [sta._capture(setup_by_pin[sink]) for sink in sinks]
+        if None in captures:
+            continue  # a sink flop without a capture clock: scalars only
+        # Per sink, once: its checks, their capture (a flop's setup and
+        # hold checks share CK) and the anchor->sink wire terms, late and
+        # early.
+        sink_terms = []
+        for sink, capture in zip(sinks, captures):
+            wire, si, degrade = net_edge_terms(
+                sta.parasitics, NetEdge(out_net_name, a_out, sink),
+                sta.si_delta, SCALAR)
+            sink_terms.append((setup_by_pin[sink], hold_by_pin[sink],
+                               capture, wire + si, max(wire - si, 0.0),
+                               degrade))
+        _tabulate_input_budgets(sta, etm, port, anchor_in, arc, sink_terms)
 
-        axis = _densify(
-            x for t in arc.timing.values() for x in t.delay.index_1
-        )
-        entry = etm.ports.setdefault(port, EtmPort(name=port))
-        clocks_seen = set()
-        ok = True
-        for d_in in DIRECTIONS:
-            setup_col: List[float] = []
-            hold_col: List[float] = []
-            for s in axis:
-                latest = math.inf
-                earliest = -math.inf
-                for d_out in arc.sense.output_directions(d_in):
-                    if d_out not in arc.timing:
-                        continue
-                    delay, out_slew = arc.delay_and_slew(d_out, s, load)
-                    for sink in sinks:
-                        cap = sta.graph.cell_of(sink).pin(
-                            sink.pin).capacitance
-                        wire = para.wire_delay(sink, cap)
-                        sink_slew = out_slew + para.slew_degradation(
-                            sink, cap)
-                        sc = setup_by_pin[sink]
-                        hc = hold_by_pin[sink]
-                        clk = sta.prop.at(sc.clock_pin, "rise")
-                        if not clk.valid:
-                            ok = False
-                            break
-                        spec = sta._clock_of_check(sc)
-                        if spec is None:
-                            ok = False
-                            break
-                        clocks_seen.add(spec.name)
-                        lat = constraints.clock_latency.get(sc.instance, 0.0)
-                        setup = sc.arc.constraint_value(
-                            d_out, sink_slew, clk.slew_late)
-                        latest = min(
-                            latest,
-                            spec.period + clk.early + lat - setup
-                            - spec.uncertainty_setup
-                            - constraints.flat_setup_margin
-                            - (delay * f_late + wire),
-                        )
-                        hold = hc.arc.constraint_value(
-                            d_out, sink_slew, clk.slew_late)
-                        earliest = max(
-                            earliest,
-                            clk.late + lat + hold + spec.uncertainty_hold
-                            + constraints.flat_hold_margin
-                            - (delay * f_early + wire),
-                        )
-                    if not ok:
-                        break
-                if not ok or math.isinf(latest) or math.isinf(earliest):
-                    ok = False
-                    break
-                setup_col.append(latest)
-                hold_col.append(earliest)
-            if not ok:
-                break
-            entry.setup_budget_tables[d_in] = _budget_table(axis, setup_col)
-            entry.hold_budget_tables[d_in] = _budget_table(axis, hold_col)
-        if not ok:
-            entry.setup_budget_tables.clear()
-            entry.hold_budget_tables.clear()
-            continue
-        entry.pin_cap = sta.graph.cell_of(anchor_in).pin(
-            anchor_in.pin).capacitance
-        entry.slew_validity = (axis[0], axis[-1])
-        if len(clocks_seen) == 1:
-            entry.clock = next(iter(clocks_seen))
-        etm.boundary_pins[port] = str(anchor_in)
+
+def _tabulate_input_budgets(sta: STA, etm: ExtractedTimingModel, port: str,
+                            anchor_in: PinRef, arc, sink_terms) -> None:
+    """Setup/hold budget tables at an anchored input over the boundary
+    data slew: the latest (earliest) anchor-input arrival that every
+    sink's setup (hold) check allows through the anchor arc and wire."""
+    load, _, is_clock, depth = cell_edge_terms(
+        sta.graph, sta.parasitics, CellEdge(anchor_in.instance, arc))
+    f_late = sta.derates.factor(is_clock, "late", depth, anchor_in.instance)
+    f_early = sta.derates.factor(is_clock, "early", depth,
+                                 anchor_in.instance)
+    axis = _densify(
+        x for t in arc.timing.values() for x in t.delay.index_1
+    )
+    entry = etm.ports.setdefault(port, EtmPort(name=port))
+    for d_in in DIRECTIONS:
+        setup_col: List[float] = []
+        hold_col: List[float] = []
+        for s in axis:
+            latest = math.inf
+            earliest = -math.inf
+            for d_out in arc.sense.output_directions(d_in):
+                if d_out not in arc.timing:
+                    continue
+                delay, out_slew = arc.delay_and_slew(d_out, s, load)
+                for (setup_check, hold_check, capture, late_wire,
+                     early_wire, degrade) in sink_terms:
+                    sink_slew = out_slew + degrade
+                    latest = min(
+                        latest,
+                        sta._setup_required(setup_check, capture, d_out,
+                                            sink_slew)
+                        - (delay * f_late + late_wire),
+                    )
+                    earliest = max(
+                        earliest,
+                        sta._hold_required(hold_check, capture, d_out,
+                                           sink_slew)
+                        - (delay * f_early + early_wire),
+                    )
+            if math.isinf(latest) or math.isinf(earliest):
+                entry.setup_budget_tables.clear()
+                entry.hold_budget_tables.clear()
+                return
+            setup_col.append(latest)
+            hold_col.append(earliest)
+        entry.setup_budget_tables[d_in] = _budget_table(axis, setup_col)
+        entry.hold_budget_tables[d_in] = _budget_table(axis, hold_col)
+    entry.pin_cap = sta.parasitics.sink_cap(anchor_in)
+    entry.slew_validity = (axis[0], axis[-1])
+    clocks_seen = {capture[0].name for _, _, capture, _, _, _ in sink_terms}
+    if len(clocks_seen) == 1:
+        entry.clock = next(iter(clocks_seen))
+    etm.boundary_pins[port] = str(anchor_in)
 
 
 def _trace_feedthrough_chain(sta: STA, a_in: PinRef):
@@ -550,6 +538,13 @@ def _tabulate_feedthrough(sta: STA, etm: ExtractedTimingModel, port: str,
     )
     sense = (TimingSense.POSITIVE_UNATE if sense_flips % 2 == 0
              else TimingSense.NEGATIVE_UNATE)
+    # Wire delay and slew degradation from each stage to the next.
+    links = []
+    for (inst, arc, out_ref, _), nxt in zip(stages, stages[1:]):
+        net_name = sta.design.instances[inst].connections[arc.pin]
+        wire, _, degrade = net_edge_terms(
+            sta.parasitics, NetEdge(net_name, out_ref, nxt[3]), None, SCALAR)
+        links.append((wire, degrade))
     for d0 in DIRECTIONS:
         delays: List[List[float]] = []
         slews: List[List[float]] = []
@@ -560,7 +555,7 @@ def _tabulate_feedthrough(sta: STA, etm: ExtractedTimingModel, port: str,
             for load in load_axis:
                 t = 0.0
                 cur_dir, cur_slew = d0, s
-                for i, (inst, arc, out_ref, in_ref) in enumerate(stages):
+                for i, (_, arc, out_ref, _) in enumerate(stages):
                     outs = arc.sense.output_directions(cur_dir)
                     if len(outs) != 1 or outs[0] not in arc.timing:
                         return
@@ -576,14 +571,9 @@ def _tabulate_feedthrough(sta: STA, etm: ExtractedTimingModel, port: str,
                     cur_slew = out_slew
                     cur_dir = d_out
                     if not last:
-                        nxt = stages[i + 1][3]
-                        net_name = sta.design.instances[
-                            inst].connections[arc.pin]
-                        para = sta.parasitics.extract(net_name)
-                        cap = sta.graph.cell_of(nxt).pin(
-                            nxt.pin).capacitance
-                        t += para.wire_delay(nxt, cap)
-                        cur_slew += para.slew_degradation(nxt, cap)
+                        wire, degrade = links[i]
+                        t += wire
+                        cur_slew += degrade
                 row_d.append(t)
                 row_s.append(cur_slew)
                 final_dir = cur_dir
@@ -606,8 +596,7 @@ def _tabulate_feedthrough(sta: STA, etm: ExtractedTimingModel, port: str,
     first_in = stages[0][3]
     entry = etm.ports.setdefault(from_port, EtmPort(name=from_port))
     if entry.pin_cap is None:
-        entry.pin_cap = sta.graph.cell_of(first_in).pin(
-            first_in.pin).capacitance
+        entry.pin_cap = sta.parasitics.sink_cap(first_in)
     etm.boundary_pins.setdefault(from_port, str(first_in))
     etm.boundary_pins.setdefault(port, str(stages[-1][2]))
 

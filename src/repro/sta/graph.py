@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Set
 
 from repro.errors import TimingError
@@ -36,16 +37,17 @@ class NetEdge:
 
 @dataclass(frozen=True)
 class CellEdge:
-    """Input pin -> output pin through a library delay arc."""
+    """Input pin -> output pin through a library delay arc (``src`` and
+    ``dst`` are built once: every timing route reads them, some twice)."""
 
     instance: str
     arc: TimingArc
 
-    @property
+    @cached_property
     def src(self) -> PinRef:
         return PinRef(self.instance, self.arc.related_pin)
 
-    @property
+    @cached_property
     def dst(self) -> PinRef:
         return PinRef(self.instance, self.arc.pin)
 

@@ -71,11 +71,13 @@ from repro.runtime.supervisor import (
     SupervisedTask,
     TaskStatus,
 )
+from repro.sta.algebra import SCALAR
 from repro.sta.analysis import STA
 from repro.sta.constraints import ClockSpec, Constraints
 from repro.sta.etm import ExtractedTimingModel, extract_etm
+from repro.sta.graph import NetEdge
 from repro.sta.mcmm import Scenario
-from repro.sta.propagation import Derates
+from repro.sta.propagation import Derates, net_edge_terms
 from repro.sta.required import pin_slack, required_times
 from repro.sta.scheduler import (
     ScenarioResultCache,
@@ -275,9 +277,9 @@ def _clock_deltas(design: Design, library: Library, stack: BeolStack,
                               temp_c=temp_c)
     out = {}
     for name in blocks:
-        net = para.extract(f"clk_{name}")
-        ck_cap = library.cell(f"ETM_{name}").pin("CK").capacitance
-        out[name] = net.wire_delay(PinRef(f"sb_{name}", "CK"), ck_cap)
+        port = f"clk_{name}"
+        edge = NetEdge(port, PinRef("", port), PinRef(f"sb_{name}", "CK"))
+        out[name], _, _ = net_edge_terms(para, edge, None, SCALAR)
     return out
 
 

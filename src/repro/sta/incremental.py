@@ -108,7 +108,8 @@ class IncrementalTimer:
         self._sync()
         if not names:
             # No-op pass: nothing changed, so every stored arrival is
-            # still valid. Serve the existing report.
+            # still valid. Serve the existing report; the cone is empty.
+            self.last_cone_size = 0
             return sta.report
 
         with obs_tracing.span("retime_cone", design=sta.design.name,
@@ -160,9 +161,8 @@ class IncrementalTimer:
             for ref in cone:
                 for edge in sta.graph.in_edges.get(ref, []):
                     if isinstance(edge, NetEdge):
-                        _propagate_net_edge(sta.graph, sta.parasitics,
-                                            sta.prop, edge, si_delta,
-                                            sta.algebra)
+                        _propagate_net_edge(sta.parasitics, sta.prop, edge,
+                                            si_delta, sta.algebra)
                     else:
                         _propagate_cell_edge(sta.graph, sta.parasitics,
                                              sta.prop, edge, sta.derates,

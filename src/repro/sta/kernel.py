@@ -64,6 +64,8 @@ from repro.sta.propagation import (
     Arrival,
     Derates,
     PropagationResult,
+    net_edge_terms,
+    seed_arrivals,
 )
 from repro.sta.reports import SlewViolation, TimingReport
 
@@ -663,11 +665,8 @@ class CompiledKernel:
             # net-edge statics (per unique net edge, broadcast to the
             # rise/fall expansion rows)
             for ne, edge in enumerate(unique_net_edges):
-                pin_cap = self._pin_cap(lib, edge.sink)
-                np_ = para.extract(edge.net_name)
-                base = np_.wire_delay(edge.sink, pin_cap)
-                degrade = np_.slew_degradation(edge.sink, pin_cap)
-                delta = si_delta.get(edge.net_name, 0.0)
+                base, delta, degrade = net_edge_terms(para, edge, si_delta,
+                                                      SCALAR)
                 early = max(base - delta, 0.0)
                 for d in (0, 1):
                     e = self._net_rows[2 * ne + d]
@@ -728,39 +727,12 @@ class CompiledKernel:
                     limit_of[key] = limit
                 self._slew_limit[i, ci] = limit
 
-        # --- seeds (corner-independent; exact reference offer replay) -- #
-        seed_arr: Dict[int, Arrival] = {}
-        for clock in self.constraints.clocks.values():
-            root = PinRef("", clock.port)
-            for d, direction in enumerate(DIRECTIONS):
-                node = self._node_index.get((root, direction))
-                if node is None:
-                    continue
-                arr = seed_arr.setdefault(node, Arrival())
-                arr.offer_late(clock.source_latency, clock.slew, None)
-                arr.offer_early(clock.source_latency, clock.slew, None)
-        clock_ports = {c.port for c in self.constraints.clocks.values()}
-        for port in design.input_ports():
-            if port in clock_ports:
-                continue
-            delay = self.constraints.input_delays.get(port, 0.0)
-            ref = PinRef("", port)
-            for d, direction in enumerate(DIRECTIONS):
-                node = self._node_index.get((ref, direction))
-                if node is None:
-                    continue
-                arr = seed_arr.setdefault(node, Arrival())
-                arr.offer_late(delay, self.constraints.default_input_slew,
-                               None)
-                arr.offer_early(delay, self.constraints.default_input_slew,
-                                None)
-        self._seeds = seed_arr
-
-    def _pin_cap(self, library: Library, ref: PinRef) -> float:
-        if ref.is_port:
-            return 2.0  # matches propagation._sink_pin_cap
-        cell_name = self.design.instance(ref.instance).cell_name
-        return library.cell(cell_name).pin(ref.pin).capacitance
+        # --- seeds (corner-independent; the reference's own) ---------- #
+        self._seeds: Dict[int, Arrival] = {}
+        for key, arr in seed_arrivals(graph).arrivals.items():
+            node = self._node_index.get(key)
+            if node is not None:
+                self._seeds[node] = arr
 
     def _check_cell_congruence(self, ci: int) -> None:
         """Every instantiated cell must exist in the corner library."""

@@ -16,10 +16,9 @@ from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import TimingError
 from repro.netlist.design import PinRef
-from repro.sta.algebra import SCALAR
 from repro.sta.cppr import endpoint_cppr_credit
 from repro.sta.graph import NetEdge
-from repro.sta.propagation import driver_load
+from repro.sta.propagation import cell_edge_terms, net_edge_terms
 from repro.sta.reports import EndpointResult
 
 #: An enumerated path: list of (edge, src_direction, dst_direction),
@@ -98,40 +97,35 @@ def pba_arrival(sta, path: PathEdges, endpoint_ref: PinRef) -> Tuple[float, floa
     """Re-propagate one path with path-specific slews.
 
     Returns (arrival, final slew) at the endpoint, in late mode with the
-    same derates as the GBA run.
+    GBA run's own edge terms (wire and SI delays, useful-skew latency,
+    derates): only the slews differ from GBA.
     """
-    constraints = sta.constraints
     if not path:
         _, late = sta.prop.worst_late(endpoint_ref)
-        return late, constraints.default_input_slew
+        return late, sta.constraints.default_input_slew
 
+    # A path starts at a pin without fan-in, whose GBA arrival is the
+    # seed the forward pass gave it.
     first_edge, first_dir, _ = path[0]
     start = (first_edge.driver if isinstance(first_edge, NetEdge)
              else first_edge.src)
-    clock = constraints.clock_for_port(start.pin) if start.is_port else None
-    if clock is not None:
-        time, slew = clock.source_latency, clock.slew
-    elif start.is_port:
-        time = constraints.input_delays.get(start.pin, 0.0)
-        slew = constraints.default_input_slew
-    else:
-        time, slew = 0.0, constraints.default_input_slew
+    seed = sta.prop.at(start, first_dir)
+    time, slew = seed.late, seed.slew_late
 
+    alg = sta.algebra
     for edge, src_dir, dst_dir in path:
         if isinstance(edge, NetEdge):
-            para = sta.parasitics.extract(edge.net_name)
-            pin_cap = _pin_cap(sta, edge.sink)
-            time += para.wire_delay(edge.sink, pin_cap)
-            slew += para.slew_degradation(edge.sink, pin_cap)
+            wire, si, degrade = net_edge_terms(sta.parasitics, edge,
+                                               sta.si_delta, alg)
+            time = time + wire + si
+            slew += degrade
         else:
-            load = driver_load(sta.graph, sta.parasitics, edge.dst)
+            load, skew, is_clock, depth = cell_edge_terms(
+                sta.graph, sta.parasitics, edge)
             delay, out_slew = edge.arc.delay_and_slew(dst_dir, slew, load)
-            alg = getattr(sta, "algebra", SCALAR)
             delay = alg.arc_delay(edge, dst_dir, slew, load, "late", delay)
-            is_clock = edge.src in sta.graph.clock_pins
-            depth = sta.graph.data_depth.get(edge.dst, 1)
-            time = time + delay * sta.derates.factor(is_clock, "late", depth,
-                                                     edge.instance)
+            time = time + skew + delay * sta.derates.factor(
+                is_clock, "late", depth, edge.instance)
             slew = out_slew
     return time, slew
 
@@ -144,29 +138,24 @@ def analyze_endpoint(
     """PBA slack at one setup endpoint (worst over enumerated paths).
 
     The PBA slack applies path-specific slews *and* CPPR credit; it can
-    only improve on (or match) GBA.
+    only improve on (or match) GBA. A setup check's required time is the
+    GBA formula (:meth:`STA._setup_required`) at the path's own data
+    slew, against the check's own capture clock and latency.
     """
     if endpoint.kind == "hold":
         raise TimingError("PBA implemented for setup/output endpoints")
     credit = endpoint_cppr_credit(sta, endpoint)
+    check = endpoint.check
+    capture = sta._capture(check) if check is not None else None
     worst_pba: Optional[float] = None
     count = 0
     for path in enumerate_paths(sta, endpoint.endpoint,
                                 endpoint.data_direction, "setup", max_paths):
         arrival, slew = pba_arrival(sta, path, endpoint.endpoint)
         required = endpoint.required
-        if endpoint.check is not None:
-            clk_slew = sta.prop.at(endpoint.check.clock_pin, "rise").slew_late
-            clock = sta.constraints.the_clock()
-            setup = endpoint.check.arc.constraint_value(
-                endpoint.data_direction, slew, clk_slew
-            )
-            clk_early = sta.prop.at(endpoint.check.clock_pin, "rise").early
-            required = (
-                clock.period + clk_early - setup
-                - clock.uncertainty_setup
-                - sta.constraints.flat_setup_margin
-            )
+        if capture is not None:
+            required = sta._setup_required(check, capture,
+                                           endpoint.data_direction, slew)
         slack = required - arrival + credit
         count += 1
         if worst_pba is None or slack < worst_pba:
@@ -176,7 +165,7 @@ def analyze_endpoint(
     # Enumeration order is heuristic; with a bounded path budget the true
     # worst path may be missed, so never report better-than-GBA by error:
     # PBA >= GBA always holds per-path, so clamp from below.
-    worst_pba = getattr(sta, "algebra", SCALAR).max(worst_pba, endpoint.slack)
+    worst_pba = sta.algebra.max(worst_pba, endpoint.slack)
     return PbaEndpointResult(
         endpoint=endpoint.endpoint,
         gba_slack=endpoint.slack,
@@ -194,8 +183,3 @@ def gba_vs_pba(sta, report, n_endpoints: int = 10,
         out.append(analyze_endpoint(sta, endpoint, max_paths=max_paths))
     return out
 
-
-def _pin_cap(sta, ref: PinRef) -> float:
-    if ref.is_port:
-        return 2.0
-    return sta.graph.cell_of(ref).pin(ref.pin).capacitance

@@ -25,6 +25,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.errors import TimingError
 from repro.liberty.aocv import AocvTable
+from repro.liberty.arcs import TimingType
 from repro.netlist.design import PinRef
 from repro.parasitics.synthesis import ParasiticExtractor
 from repro.sta.algebra import SCALAR, TimingAlgebra
@@ -165,11 +166,24 @@ def propagate(
     Returns:
         A :class:`PropagationResult`.
     """
+    result = seed_arrivals(graph)
+    for ref in graph.topo_order:
+        for edge in graph.in_edges.get(ref, []):
+            if isinstance(edge, NetEdge):
+                _propagate_net_edge(parasitics, result, edge, si_delta,
+                                    algebra)
+            else:
+                _propagate_cell_edge(graph, parasitics, result, edge, derates,
+                                     algebra)
+    return result
+
+
+def seed_arrivals(graph: TimingGraph) -> PropagationResult:
+    """The arrivals the forward pass starts from: each clock root at its
+    source latency and slew, each other input port at its input delay
+    and the default input slew, both directions."""
     result = PropagationResult()
     constraints = graph.constraints
-    si_delta = si_delta or {}
-
-    # Seed clock roots.
     for clock in constraints.clocks.values():
         root = PinRef("", clock.port)
         for direction in DIRECTIONS:
@@ -177,7 +191,6 @@ def propagate(
             arr.offer_late(clock.source_latency, clock.slew, None)
             arr.offer_early(clock.source_latency, clock.slew, None)
 
-    # Seed data input ports.
     clock_ports = {c.port for c in constraints.clocks.values()}
     for port in graph.design.input_ports():
         if port in clock_ports:
@@ -188,52 +201,59 @@ def propagate(
             arr = result.at(ref, direction)
             arr.offer_late(delay, constraints.default_input_slew, None)
             arr.offer_early(delay, constraints.default_input_slew, None)
-
-    for ref in graph.topo_order:
-        for edge in graph.in_edges.get(ref, []):
-            if isinstance(edge, NetEdge):
-                _propagate_net_edge(graph, parasitics, result, edge, si_delta,
-                                    algebra)
-            else:
-                _propagate_cell_edge(graph, parasitics, result, edge, derates,
-                                     algebra)
     return result
 
 
-def _propagate_net_edge(graph, parasitics, result, edge: NetEdge,
-                        si_delta, alg: TimingAlgebra = SCALAR) -> None:
+def net_edge_terms(parasitics: ParasiticExtractor, edge: NetEdge,
+                   si_delta: Optional[Dict[str, float]],
+                   alg: TimingAlgebra) -> Tuple[object, float, float]:
+    """(wire, si, degrade) of a net edge: its wire delay lifted into
+    ``alg``, its SI delta (0.0 without one; ``si_delta`` None is SI off)
+    and its slew degradation. A late arrival crosses the edge as
+    ``(t + wire) + si``, an early one as ``t + max(wire - si, 0.0)``."""
     para = parasitics.extract(edge.net_name)
-    pin_cap = _sink_pin_cap(graph, edge.sink)
-    base_delay = alg.wire_delay(edge, para.wire_delay(edge.sink, pin_cap))
-    degrade = para.slew_degradation(edge.sink, pin_cap)
-    delta = si_delta.get(edge.net_name, 0.0)
+    cap = parasitics.sink_cap(edge.sink)
+    wire = alg.wire_delay(edge, para.wire_delay(edge.sink, cap))
+    si = si_delta.get(edge.net_name, 0.0) if si_delta else 0.0
+    return wire, si, para.slew_degradation(edge.sink, cap)
+
+
+def cell_edge_terms(graph: TimingGraph, parasitics: ParasiticExtractor,
+                    edge: CellEdge) -> Tuple[float, float, bool, int]:
+    """(load, skew, is_clock, depth) of a cell edge: its output load,
+    the useful-skew latency a launch flop's CK->Q arc adds, and the
+    clock-network flag and AOCV depth its derate factor takes. An
+    arrival crosses the edge as ``(t + skew) + delay * factor``."""
+    dst = edge.dst
+    skew = 0.0
+    if edge.arc.timing_type is TimingType.RISING_EDGE:
+        skew = graph.constraints.clock_latency.get(edge.instance, 0.0)
+    return (driver_load(graph, parasitics, dst), skew,
+            edge.src in graph.clock_pins, graph.data_depth.get(dst, 1))
+
+
+def _propagate_net_edge(parasitics, result, edge: NetEdge, si_delta,
+                        alg: TimingAlgebra = SCALAR) -> None:
+    wire, si, degrade = net_edge_terms(parasitics, edge, si_delta, alg)
     for direction in DIRECTIONS:
         if not result.has(edge.driver, direction):
             continue
         src = result.at(edge.driver, direction)
         dst = result.at(edge.sink, direction)
         if src.late > -INF:
-            dst.offer_late(src.late + base_delay + delta,
+            dst.offer_late(src.late + wire + si,
                            src.slew_late + degrade, (edge, direction), alg)
         if src.early < INF:
-            dst.offer_early(src.early + max(base_delay - delta, 0.0),
+            dst.offer_early(src.early + max(wire - si, 0.0),
                             src.slew_early + degrade, (edge, direction), alg)
 
 
 def _propagate_cell_edge(graph, parasitics, result, edge: CellEdge,
                          derates: Derates,
                          alg: TimingAlgebra = SCALAR) -> None:
-    from repro.liberty.arcs import TimingType
-
+    load, skew, is_clock, depth = cell_edge_terms(graph, parasitics, edge)
     src_ref, dst_ref = edge.src, edge.dst
-    load = driver_load(graph, parasitics, dst_ref)
     result.loads[dst_ref] = load
-    is_clock = src_ref in graph.clock_pins
-    depth = graph.data_depth.get(dst_ref, 1)
-    # Useful skew: a launch flop's extra clock latency delays its Q.
-    skew = 0.0
-    if edge.arc.timing_type is TimingType.RISING_EDGE:
-        skew = graph.constraints.clock_latency.get(edge.instance, 0.0)
     for in_dir in DIRECTIONS:
         if not result.has(src_ref, in_dir):
             continue
@@ -277,10 +297,3 @@ def driver_load(graph: TimingGraph, parasitics: ParasiticExtractor,
     net_name = inst.net_of(output_ref.pin)
     para = parasitics.extract(net_name)
     return para.driver_load(parasitics.pin_caps_total(net_name))
-
-
-def _sink_pin_cap(graph: TimingGraph, ref: PinRef) -> float:
-    if ref.is_port:
-        return 2.0
-    cell = graph.cell_of(ref)
-    return cell.pin(ref.pin).capacitance

@@ -6,6 +6,13 @@ latest allowed arrival (late/setup mode) or earliest allowed arrival
 (early/hold mode) at *every* pin. Pin slack = required - arrival (late)
 or arrival - required (early).
 
+Endpoints are seeded with the STA's own check formulas
+(:meth:`~repro.sta.analysis.STA._setup_required` and its siblings), and
+each edge is crossed with the forward pass's own terms
+(:func:`~repro.sta.propagation.net_edge_terms`, SI delta included, and
+:func:`~repro.sta.propagation.cell_edge_terms`), so every pin on a
+worst path carries its endpoint's slack.
+
 Per-pin slacks power two consumers: the ETM extractor
 (:mod:`repro.sta.etm`) reads port budgets off them, and closure fix
 guards (e.g. the MinIA fixer's ``slack_of``) read instance criticality.
@@ -18,9 +25,8 @@ from typing import Dict, Tuple
 
 from repro.errors import TimingError
 from repro.netlist.design import PinRef
-from repro.sta.algebra import SCALAR
 from repro.sta.graph import CellEdge, NetEdge
-from repro.sta.propagation import DIRECTIONS, driver_load
+from repro.sta.propagation import DIRECTIONS, cell_edge_terms, net_edge_terms
 
 INF = math.inf
 
@@ -38,9 +44,9 @@ def required_times(sta, mode: str = "late") -> Dict[ReqKey, float]:
         raise TimingError("run() must be called before required-time analysis")
     if mode not in ("late", "early"):
         raise TimingError(f"bad mode {mode!r}")
-    alg = getattr(sta, "algebra", SCALAR)
+    alg = sta.algebra
     req: Dict[ReqKey, float] = {}
-    _seed_endpoints(sta, req, mode, alg)
+    _seed_endpoints(sta, req, mode)
 
     better = alg.min if mode == "late" else alg.max
     for ref in reversed(sta.graph.topo_order):
@@ -55,7 +61,7 @@ def required_times(sta, mode: str = "late") -> Dict[ReqKey, float]:
 def pin_slack(sta, req: Dict[ReqKey, float], ref: PinRef,
               mode: str = "late") -> float:
     """Worst slack at a pin over both directions (inf when unconstrained)."""
-    alg = getattr(sta, "algebra", SCALAR)
+    alg = sta.algebra
     worst = INF
     for direction in DIRECTIONS:
         if not sta.prop.has(ref, direction):
@@ -82,7 +88,7 @@ def instance_slacks(sta, mode: str = "late") -> Dict[str, float]:
     fixing, area recovery): an instance with small slack must not be
     slowed down.
     """
-    alg = getattr(sta, "algebra", SCALAR)
+    alg = sta.algebra
     req = required_times(sta, mode)
     out: Dict[str, float] = {}
     for ref in sta.graph.topo_order:
@@ -97,98 +103,55 @@ def instance_slacks(sta, mode: str = "late") -> Dict[str, float]:
 # ---------------------------------------------------------------------- #
 
 
-def _seed_endpoints(sta, req: Dict[ReqKey, float], mode: str,
-                    alg=SCALAR) -> None:
-    constraints = sta.constraints
-    if not constraints.clocks:
+def _seed_endpoints(sta, req: Dict[ReqKey, float], mode: str) -> None:
+    if not sta.constraints.clocks:
         return
-    if mode == "late":
-        for check in sta.graph.setup_checks():
-            clk = sta.prop.at(check.clock_pin, "rise")
-            if not clk.valid:
+    alg = sta.algebra
+    late = mode == "late"
+    checks = sta.graph.setup_checks() if late else sta.graph.hold_checks()
+    for check in checks:
+        capture = sta._capture(check)
+        if capture is None:
+            continue
+        for direction in DIRECTIONS:
+            if not sta.prop.has(check.data_pin, direction):
                 continue
-            clock = sta._clock_of_check(check)
-            if clock is None:
-                continue
-            clk_early = clk.early + constraints.clock_latency.get(
-                check.instance, 0.0
-            )
-            for direction in DIRECTIONS:
-                if not sta.prop.has(check.data_pin, direction):
-                    continue
-                arr = sta.prop.at(check.data_pin, direction)
-                setup = check.arc.constraint_value(
-                    direction, arr.slew_late, clk.slew_late
-                )
-                value = (
-                    clock.period + clk_early - setup
-                    - clock.uncertainty_setup
-                    - constraints.flat_setup_margin
-                )
-                key = (check.data_pin, direction)
+            arr = sta.prop.at(check.data_pin, direction)
+            key = (check.data_pin, direction)
+            if late:
+                value = sta._setup_required(check, capture, direction,
+                                            arr.slew_late)
                 req[key] = alg.min(req.get(key, INF), value)
-        primary = constraints.primary_clock()
+            else:
+                value = sta._hold_required(check, capture, direction,
+                                           arr.slew_early)
+                req[key] = alg.max(req.get(key, -INF), value)
+    if late:
+        primary = sta.constraints.primary_clock()
         for ref in sta.graph.output_port_refs():
-            value = (
-                primary.period
-                - constraints.output_delays.get(ref.pin, 0.0)
-                - primary.uncertainty_setup
-            )
+            value = sta._output_required(ref, primary)
             for direction in DIRECTIONS:
                 key = (ref, direction)
                 req[key] = alg.min(req.get(key, INF), value)
-    else:
-        for check in sta.graph.hold_checks():
-            clk = sta.prop.at(check.clock_pin, "rise")
-            if not clk.valid:
-                continue
-            clock = sta._clock_of_check(check)
-            if clock is None:
-                continue
-            clk_late = clk.late + constraints.clock_latency.get(
-                check.instance, 0.0
-            )
-            for direction in DIRECTIONS:
-                if not sta.prop.has(check.data_pin, direction):
-                    continue
-                arr = sta.prop.at(check.data_pin, direction)
-                hold = check.arc.constraint_value(
-                    direction, arr.slew_early, clk.slew_late
-                )
-                value = (
-                    clk_late + hold + clock.uncertainty_hold
-                    + constraints.flat_hold_margin
-                )
-                key = (check.data_pin, direction)
-                req[key] = alg.max(req.get(key, -INF), value)
 
 
 def _relax_net_edge(sta, req, edge: NetEdge, mode: str, better) -> None:
-    para = sta.parasitics.extract(edge.net_name)
-    pin_cap = 2.0
-    if not edge.sink.is_port:
-        pin_cap = sta.graph.cell_of(edge.sink).pin(edge.sink.pin).capacitance
-    delay = para.wire_delay(edge.sink, pin_cap)
+    wire, si, _ = net_edge_terms(sta.parasitics, edge, sta.si_delta,
+                                 sta.algebra)
+    delay = wire + si if mode == "late" else max(wire - si, 0.0)
+    default = INF if mode == "late" else -INF
     for direction in DIRECTIONS:
         dst_req = req.get((edge.sink, direction))
         if dst_req is None or math.isinf(dst_req):
             continue
         key = (edge.driver, direction)
-        candidate = dst_req - delay
-        default = INF if mode == "late" else -INF
-        req[key] = better(req.get(key, default), candidate)
+        req[key] = better(req.get(key, default), dst_req - delay)
 
 
 def _relax_cell_edge(sta, req, edge: CellEdge, mode: str, better) -> None:
-    from repro.liberty.arcs import TimingType
-
-    alg = getattr(sta, "algebra", SCALAR)
-    load = driver_load(sta.graph, sta.parasitics, edge.dst)
-    is_clock = edge.src in sta.graph.clock_pins
-    depth = sta.graph.data_depth.get(edge.dst, 1)
-    skew = 0.0
-    if edge.arc.timing_type is TimingType.RISING_EDGE:
-        skew = sta.constraints.clock_latency.get(edge.instance, 0.0)
+    load, skew, is_clock, depth = cell_edge_terms(sta.graph, sta.parasitics,
+                                                  edge)
+    default = INF if mode == "late" else -INF
     for in_dir in DIRECTIONS:
         if not sta.prop.has(edge.src, in_dir):
             continue
@@ -201,10 +164,10 @@ def _relax_cell_edge(sta, req, edge: CellEdge, mode: str, better) -> None:
             if dst_req is None or math.isinf(dst_req):
                 continue
             delay, _ = edge.arc.delay_and_slew(out_dir, slew, load)
-            delay = alg.arc_delay(edge, out_dir, slew, load, mode, delay)
+            delay = sta.algebra.arc_delay(edge, out_dir, slew, load, mode,
+                                          delay)
             delay = skew + delay * sta.derates.factor(
                 is_clock, mode, depth, edge.instance
             )
             key = (edge.src, in_dir)
-            default = INF if mode == "late" else -INF
             req[key] = better(req.get(key, default), dst_req - delay)

@@ -8,7 +8,7 @@ from repro.errors import TimingError
 from repro.liberty import make_library
 from repro.liberty.arcs import TimingArc
 from repro.netlist.design import PinRef
-from repro.netlist.generators import random_logic
+from repro.netlist.generators import aes_like, random_logic
 from repro.netlist.transforms import swap_vt, upsize
 from repro.sta import STA, Constraints
 from repro.sta.graph import NetEdge
@@ -318,6 +318,20 @@ class TestNoOpUpdate:
         report = timer.update_cells([])
         assert report is sta.report
         assert slack_map(report) == slack_map(reference)
+
+    def test_noop_reports_an_empty_cone(self, lib):
+        """A no-op after a cone update must not report that update's
+        cone as its own."""
+        design = aes_like(n_sboxes=2, sbox_gates=30, seed=2001)
+        sta = STA(design, lib, Constraints.single_clock(600.0))
+        sta.run()
+        timer = IncrementalTimer(sta)
+        name = next(i.name for i in design.combinational_instances(lib)
+                    if swap_vt(design, lib, i.name, "lvt"))
+        timer.update_cells([name])
+        assert timer.last_cone_size > 0
+        timer.update_cells([])
+        assert timer.last_cone_size == 0
 
 
 class TestAtomicity:

@@ -4,7 +4,11 @@ import pytest
 
 from repro.liberty import make_library
 from repro.netlist.design import Design, PinRef, PortDirection
-from repro.netlist.generators import random_logic, tiny_design
+from repro.netlist.generators import (
+    hierarchical_soc,
+    random_logic,
+    tiny_design,
+)
 from repro.sta import STA, Constraints
 from repro.sta.cppr import (
     clock_path_pins,
@@ -98,6 +102,52 @@ class TestPba:
         hold_ep = rand_sta.report.worst("hold")
         with pytest.raises(TimingError):
             analyze_endpoint(rand_sta, hold_ep)
+
+
+class TestPbaUsesGbaEdgeTerms:
+    """PBA re-propagates with the GBA run's own wire and SI delays,
+    useful-skew latencies and capture clocks, so only the slews differ:
+    whatever moves GBA slack moves PBA slack alike."""
+
+    def test_si_recovers_the_same_pessimism(self, lib):
+        recovered = {}
+        for si in (False, True):
+            sta = STA(random_logic(n_gates=200, n_levels=8, seed=5), lib,
+                      Constraints.single_clock(400.0), si_enabled=si)
+            recovered[si] = {r.endpoint: r.pessimism_recovered
+                             for r in gba_vs_pba(sta, sta.run())}
+        common = set(recovered[False]) & set(recovered[True])
+        assert len(common) >= 5
+        for endpoint in common:
+            assert recovered[True][endpoint] == pytest.approx(
+                recovered[False][endpoint], abs=1e-9)
+
+    @pytest.mark.parametrize("flop", ["ff_in2", "ff_out1"])
+    def test_clock_latency_recovers_the_same_pessimism(self, lib, flop):
+        """+20 ps latency on the launching or the capturing flop."""
+        endpoint = PinRef("ff_out1", "D")
+        recovered = []
+        for latency in ({}, {flop: 20.0}):
+            constraints = Constraints.single_clock(400.0)
+            constraints.clock_latency = latency
+            sta = STA(random_logic(n_gates=120, n_levels=6, seed=3), lib,
+                      constraints)
+            record = next(e for e in sta.run().endpoints("setup")
+                          if e.endpoint == endpoint)
+            recovered.append(
+                analyze_endpoint(sta, record).pessimism_recovered)
+        assert recovered[0] > 1.0
+        assert recovered[1] == pytest.approx(recovered[0], abs=1e-9)
+
+    def test_multi_clock_design(self, lib):
+        """Each check is PBA'd against its own capture clock."""
+        soc = hierarchical_soc(seed=1, n_blocks=2, block_gates=40)
+        sta = STA(soc.flatten(), lib, soc.top_constraints(period=900.0))
+        assert len(sta.constraints.clocks) > 1
+        rows = gba_vs_pba(sta, sta.run())
+        assert rows
+        for row in rows:
+            assert row.pba_slack >= row.gba_slack
 
 
 class TestCppr:

@@ -7,14 +7,20 @@ import pytest
 from repro.errors import TimingError
 from repro.liberty import make_library
 from repro.netlist.design import PinRef
-from repro.netlist.generators import random_logic, tiny_design
+from repro.netlist.generators import (
+    hierarchical_soc,
+    random_logic,
+    tiny_design,
+)
 from repro.sta import STA, Constraints
 from repro.sta.etm import extract_etm, render_etm
+from repro.sta.hier import block_constraints
 from repro.sta.required import (
     instance_slacks,
     pin_slack,
     required_times,
 )
+from repro.sta.scheduler import _digest
 
 
 @pytest.fixture(scope="module")
@@ -26,6 +32,15 @@ def lib():
 def sta(lib):
     d = random_logic(n_gates=150, n_levels=8, seed=7)
     sta = STA(d, lib, Constraints.single_clock(500.0))
+    sta.report = sta.run()
+    return sta
+
+
+@pytest.fixture(scope="module")
+def si_sta(lib):
+    """The ``sta`` design with SI on: coupling deltas on the wires."""
+    d = random_logic(n_gates=150, n_levels=8, seed=7)
+    sta = STA(d, lib, Constraints.single_clock(500.0), si_enabled=True)
     sta.report = sta.run()
     return sta
 
@@ -58,16 +73,20 @@ class TestRequiredTimes:
                 e.slack, abs=0.01
             )
 
-    def test_slack_never_increases_downstream_of_worst_path(self, sta):
-        """Every pin on the worst path carries the worst slack."""
-        worst = sta.report.worst("setup")
-        req = required_times(sta, "late")
-        path = sta.worst_path(worst)
-        for point in path.points:
-            if point.ref.is_port:
-                continue
-            slack = pin_slack(sta, req, point.ref, "late")
-            assert slack <= worst.slack + 0.5
+    def test_slack_never_increases_downstream_of_worst_path(self, sta,
+                                                             si_sta):
+        """Every pin on the worst path carries the worst slack, with SI
+        off and on: the backward pass crosses each net edge with the
+        forward pass's own SI delta."""
+        for run in (sta, si_sta):
+            worst = run.report.worst("setup")
+            req = required_times(run, "late")
+            path = run.worst_path(worst)
+            for point in path.points:
+                if point.ref.is_port:
+                    continue
+                slack = pin_slack(run, req, point.ref, "late")
+                assert slack <= worst.slack + 0.5
 
     def test_instance_slacks_cover_design(self, sta):
         slacks = instance_slacks(sta, "late")
@@ -148,6 +167,25 @@ class TestEtm:
         text = render_etm(etm)
         assert "ETM for block" in text
         assert "setup budget" in text
+
+    def test_extracted_etm_digests_are_pinned(self, lib):
+        """An ETM's content digest keys the ETM cache: a block with
+        16 budget tables and a feedthrough block, pinned to the digests
+        recorded before the check and edge-delay formulas were shared."""
+        hier = hierarchical_soc(seed=1, n_blocks=3)
+        top = hier.top_constraints(period=700.0)
+        pinned = {
+            "b1": "e420436868b76ba4d039ed5dfb832d26"
+                  "01706398f51d1d542afeed410eab6319",
+            "ft": "cfef6b56cf7b380fbd5db4d63e81c91a"
+                  "2bde04f79499832d88627f42381ded3d",
+        }
+        for name, digest in pinned.items():
+            block = hier.blocks[name]
+            sta = STA(block.design, lib, block_constraints(
+                top, top.clocks[f"clk_{name}"], block.clock_port))
+            sta.run()
+            assert _digest(extract_etm(sta)) == digest
 
 
 class TestMiniaIntegrationWithSlacks:
