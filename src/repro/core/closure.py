@@ -7,18 +7,18 @@ budget (schedule!) runs out, or when an iteration makes no edits.
 
 The timer side is *incremental* by default (the paper's Comment 1:
 physically-aware ECO tooling). The fix order is grouped into stages of
-contiguous engines: a stage whose edits all preserve instance
-footprints (Vt-swap, sizing) re-times only the edited cells' downstream
-cones through a warm :class:`~repro.sta.incremental.IncrementalTimer`;
-a stage that changes topology or constraints (buffering, NDR, useful
-skew) falls back to the timer's honest full update. Because cone
-updates are cheap, the loop re-times *between* stages, so each engine
-sees fresh timing instead of compounding fixes on stale slack. One
-registered timer per scenario lives in a :class:`~repro.sta.scheduler.
-ScenarioTimerPool` and warm-starts across iterations instead of
-re-binding a fresh STA each pass; ``ClosureConfig(timing="full")``
-runs the same staged loop but rebuilds a fresh STA at every stage
-boundary (the benchmark baseline).
+contiguous engines, and each stage hands its edit records to a warm
+:class:`~repro.sta.incremental.IncrementalTimer`, whose one rule
+chooses: swaps (Vt-swap, sizing, slew upsizing) re-time only the edited
+cells' downstream cones; any edit that changes topology, parasitics or
+constraints (buffering, NDR, useful skew) gets the timer's honest full
+update. Because cone updates are cheap, the loop re-times *between*
+stages, so each engine sees fresh timing instead of compounding fixes
+on stale slack. One registered timer per scenario lives in a
+:class:`~repro.sta.scheduler.ScenarioTimerPool` and warm-starts across
+iterations instead of re-binding a fresh STA each pass;
+``ClosureConfig(timing="full")`` runs the same staged loop but rebuilds
+a fresh STA at every stage boundary (the benchmark baseline).
 
 The footnote of Fig 1 maps iterations to schedule: "three weeks for the
 final pass permits five three-day repair and signoff analysis
@@ -56,7 +56,6 @@ from repro.core.fixes import (
     FIX_ENGINES,
     FOOTPRINT_PRESERVING_ENGINES,
     FixContext,
-    classify_edits,
 )
 
 DEFAULT_FIX_ORDER = (
@@ -80,8 +79,8 @@ def fix_stages(fix_order: Sequence[str]) -> List[Tuple[str, ...]]:
     """Group a fix order into contiguous retime stages.
 
     Consecutive footprint-preserving engines share a stage (one cone
-    retime absorbs all their swaps); a run of topology-changing engines
-    forms its own stage (one full retime absorbs it). The loop re-times
+    retime absorbs all their swaps); a run of the other engines forms
+    its own stage (one retime absorbs it). The loop re-times
     at every stage boundary, so the grouping controls both how often
     timing refreshes and which retimes can stay cone-limited.
     """
@@ -403,34 +402,24 @@ class ClosureEngine:
     def _retime(
         self,
         scenario_name: str,
-        swapped: Sequence[str],
-        topology_changed: bool,
+        edits: Sequence[Edit],
         label: str,
     ) -> Tuple[TimingReport, str]:
-        """One supervised warm retime through the timer pool.
-
-        Returns ``(report, engine_used)`` where ``engine_used`` is
-        "incremental" or "full". A retry first discards the warm timer
-        (the failed attempt's mid-update state is not trusted), so it
-        rebuilds from scratch; exhaustion raises :class:`ClosureError`
-        exactly like :meth:`_run_sta`.
+        """One supervised warm retime of a stage's edit records through
+        the timer pool; returns the pool's ``(report, how)``. A retry
+        first discards the warm timer (the failed attempt's mid-update
+        state is not trusted), so it rebuilds from scratch; exhaustion
+        raises :class:`ClosureError` exactly like :meth:`_run_sta`.
         """
         pool = self.timer_pool
+        pool.note(edits)
 
         def attempt(_payload, attempt_no: int) -> Tuple[TimingReport, str]:
             if attempt_no > 1:
                 pool.discard(scenario_name)
             if self.fault_injector is not None:
                 self.fault_injector.fire(label, attempt_no)
-            before = pool.incremental_retimes
-            report = pool.retime(
-                scenario_name,
-                edited_instances=swapped,
-                topology_changed=topology_changed,
-                build=self._build_sta,
-            )
-            return report, ("incremental"
-                            if pool.incremental_retimes > before else "full")
+            return pool.retime(scenario_name, build=self._build_sta)
 
         return self._supervised(label, attempt).result
 
@@ -623,15 +612,12 @@ class ClosureEngine:
                         stage_edits.extend(edits)
                 if not stage_edits:
                     continue
-                swapped, topology_changed = classify_edits(stage_edits)
-                with obs_tracing.span(
-                    "retime", edits=len(stage_edits),
-                    topology_changed=topology_changed,
-                ) as retime_span:
+                with obs_tracing.span("retime", edits=len(stage_edits)) \
+                        as retime_span:
                     try:
                         if incremental:
                             _, engine_used = self._retime(
-                                scenario_name, swapped, topology_changed,
+                                scenario_name, stage_edits,
                                 label=f"iter{iteration + 1}",
                             )
                             sta = self.timer_pool.get(scenario_name).sta

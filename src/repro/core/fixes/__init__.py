@@ -37,34 +37,11 @@ FOOTPRINT_PRESERVING_ENGINES = frozenset(
     {"vt_swap", "sizing", "area_recovery"}
 )
 
-#: Edit kinds that replace a cell in place (``target`` is the instance).
-SWAP_EDIT_KINDS = frozenset({"swap", "slew_upsize"})
-
-
-def classify_edits(edits):
-    """Split an iteration's edits for the incremental timer.
-
-    Returns ``(swapped_instances, topology_changed)``: the instance
-    names whose cells were swapped in place, and whether any edit
-    changed netlist topology, parasitics or constraints (buffering, NDR,
-    useful skew) — in which case only a full re-time is honest.
-    """
-    swapped = []
-    topology_changed = False
-    for edit in edits:
-        if edit.kind in SWAP_EDIT_KINDS:
-            swapped.append(edit.target)
-        else:
-            topology_changed = True
-    return swapped, topology_changed
-
 
 __all__ = [
     "FixContext",
     "FIX_ENGINES",
     "FOOTPRINT_PRESERVING_ENGINES",
-    "SWAP_EDIT_KINDS",
-    "classify_edits",
     "vt_swap_fix",
     "sizing_fix",
     "area_recovery_fix",

@@ -18,15 +18,7 @@ MAX_MOVED_LOADS = 8
 
 def pick_buffer(ctx: FixContext, moved_loads) -> str:
     """Smallest library buffer whose drive limit covers the moved load."""
-    moved_cap = 0.0
-    for ref in moved_loads:
-        if ref.is_port:
-            moved_cap += 2.0
-        else:
-            cell = ctx.library.cell(
-                ctx.design.instance(ref.instance).cell_name
-            )
-            moved_cap += cell.pin(ref.pin).capacitance
+    moved_cap = sum(ctx.sta.parasitics.sink_cap(ref) for ref in moved_loads)
     for buf in ctx.library.buffers():
         limit = buf.output_pins()[0].max_capacitance or 1e9
         if limit >= 2.0 * moved_cap:
@@ -104,9 +96,10 @@ def slew_fix(ctx: FixContext) -> List[Edit]:
         driver_net = ctx.design.instance(driver_inst).net_of(
             _output_pin_name(ctx, driver_inst)
         )
-        if upsize(ctx.design, ctx.library, driver_inst) is not None:
+        edit = upsize(ctx.design, ctx.library, driver_inst)
+        if edit is not None:
             ctx.mark(driver_inst)
-            edits.append(Edit("slew_upsize", driver_inst, "", ""))
+            edits.append(edit)
             continue
         net = ctx.design.get_net(driver_net)
         if net.fanout >= 2 and driver_net not in ctx.touched:

@@ -17,10 +17,16 @@ from repro.netlist.design import Design, PinRef
 
 @dataclass(frozen=True)
 class Edit:
-    """A record of one netlist edit."""
+    """A record of one committed edit, the one edit type the fix engines
+    and the daemon's overlays hand the timers. The package produces
+    ``swap`` (a cell replaced in place: Vt swap, resize, upsize,
+    downsize), ``buffer``, ``ndr``, ``useful_skew`` (a flop's clock
+    latency) and ``cap`` (net cap a daemon session added);
+    :func:`repro.sta.incremental.split_edits` decides how each re-times.
+    """
 
-    kind: str  # "swap", "resize", "buffer", "ndr"
-    target: str  # instance or net name
+    kind: str  # "swap", "buffer", "ndr", "useful_skew" or "cap"
+    target: str  # instance, net or flop name
     before: str
     after: str
 

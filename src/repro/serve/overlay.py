@@ -37,34 +37,59 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.errors import NetlistError, ServeError
+from repro.errors import NetlistError, ProtocolError
 from repro.netlist.design import Design, Instance, Net
+from repro.netlist.transforms import Edit
+from repro.serve.protocol import number
 
-#: Edit kinds an overlay absorbs. ``set_cell`` is footprint-preserving
-#: (resize / Vt swap) and retimes cone-limited; net edits change
-#: parasitics and force a full retime of the session's timers.
+#: Edit kinds an overlay absorbs. ``set_cell`` swaps a cell (resize / Vt
+#: swap); net edits change parasitics. The incremental timer decides how
+#: the records :meth:`DesignOverlay.apply` returns are re-timed.
 EDIT_KINDS = ("set_cell", "set_ndr", "add_cap")
+
+#: Largest cap one ``add_cap`` edit adds to a net, fF (far above any
+#: real net's load).
+MAX_ADDED_CAP_FF = 1.0e6
 
 
 @dataclass(frozen=True)
 class OverlayEdit:
-    """One session-private netlist edit."""
+    """One session-private netlist edit. A malformed one raises
+    :class:`~repro.errors.ProtocolError` (the client's fault) here."""
 
     kind: str  # one of EDIT_KINDS
     target: str  # instance name (set_cell) or net name (set_ndr/add_cap)
     value: Any = None  # new cell name | bool | extra cap in fF
 
-    @classmethod
-    def from_wire(cls, payload: Dict[str, Any]) -> "OverlayEdit":
-        kind = payload.get("kind")
-        if kind not in EDIT_KINDS:
-            raise ServeError(
-                f"unknown edit kind {kind!r}", kinds=",".join(EDIT_KINDS)
+    def __post_init__(self):
+        if self.kind not in EDIT_KINDS:
+            raise ProtocolError(
+                f"unknown edit kind {self.kind!r}",
+                kinds=",".join(EDIT_KINDS),
             )
-        target = payload.get("target")
-        if not isinstance(target, str) or not target:
-            raise ServeError("edit target must be a non-empty string")
-        return cls(kind=kind, target=target, value=payload.get("value"))
+        if not isinstance(self.target, str) or not self.target:
+            raise ProtocolError("edit target must be a non-empty string")
+        if self.kind == "set_cell":
+            if not isinstance(self.value, str) or not self.value:
+                raise ProtocolError(
+                    "set_cell needs a cell name value", target=self.target
+                )
+        elif self.kind == "set_ndr":
+            if not isinstance(self.value, bool):
+                raise ProtocolError(
+                    "set_ndr needs a boolean value", target=self.target
+                )
+        else:
+            number(self.value, "add_cap value", 0.0, MAX_ADDED_CAP_FF)
+
+    @classmethod
+    def from_wire(cls, payload: Any) -> "OverlayEdit":
+        if not isinstance(payload, dict):
+            raise ProtocolError(
+                f"an edit must be a JSON object, got {type(payload).__name__}"
+            )
+        return cls(kind=payload.get("kind"), target=payload.get("target"),
+                   value=payload.get("value"))
 
     def to_wire(self) -> Dict[str, Any]:
         return {"kind": self.kind, "target": self.target, "value": self.value}
@@ -126,40 +151,25 @@ class DesignOverlay:
     # ------------------------------------------------------------------ #
     # writes (session-private, atomic per batch)
 
-    def _validate(self, edit: OverlayEdit) -> bool:
-        """Check one edit against the current view; returns whether the
-        edit is footprint-preserving (cone-retimable). Raises without
-        having mutated anything."""
+    def _validate(self, edit: OverlayEdit) -> None:
+        """Check one edit's target against the current view. Raises
+        without having mutated anything."""
         if edit.kind == "set_cell":
             inst = self.base.instance(edit.target)  # raises NetlistError
             if inst.dont_touch:
                 raise NetlistError(
                     f"instance {edit.target} is marked dont_touch"
                 )
-            if not isinstance(edit.value, str) or not edit.value:
-                raise ServeError(
-                    "set_cell needs a cell name value", target=edit.target
-                )
-            return True
-        if edit.kind == "set_ndr":
+        else:
             self.base.get_net(edit.target)  # raises NetlistError
-            return False
-        if edit.kind == "add_cap":
-            self.base.get_net(edit.target)
-            if not isinstance(edit.value, (int, float)):
-                raise ServeError(
-                    "add_cap needs a numeric fF value", target=edit.target
-                )
-            return False
-        raise ServeError(f"unknown edit kind {edit.kind!r}")
 
-    def apply(self, edits: Sequence[OverlayEdit]) -> Tuple[List[str], bool]:
+    def apply(self, edits: Sequence[OverlayEdit]) -> List[Edit]:
         """Commit a batch of edits atomically.
 
-        Returns ``(edited_instance_names, topology_changed)`` for the
-        session's incremental timers: instance names cover set_cell
-        edits (cone-retimable), ``topology_changed`` is True when any
-        net-level edit requires a full retime.
+        Returns the :class:`~repro.netlist.transforms.Edit` records it
+        committed, in order, for the session's timers: ``swap`` (old and
+        new cell), ``ndr`` (old and new flag) and ``cap`` (the net's
+        added cap before and after, fF).
 
         The whole batch validates first; any failure raises with the
         overlay and its materialized view untouched (no torn ECOs).
@@ -167,28 +177,31 @@ class DesignOverlay:
         edits = list(edits)
         with self._lock:
             # Phase 1: validate everything; mutate nothing.
-            footprint_flags = [self._validate(edit) for edit in edits]
+            for edit in edits:
+                self._validate(edit)
             # Phase 2: commit (infallible).
-            edited_instances: List[str] = []
-            topology_changed = False
-            for edit, footprint in zip(edits, footprint_flags):
+            records: List[Edit] = []
+            for edit in edits:
+                name, value = edit.target, edit.value
                 if edit.kind == "set_cell":
-                    self._cells[edit.target] = edit.value
-                    edited_instances.append(edit.target)
+                    records.append(
+                        Edit("swap", name, self.cell_of(name), value))
+                    self._cells[name] = value
                 elif edit.kind == "set_ndr":
-                    self._ndr[edit.target] = bool(edit.value)
-                    topology_changed = True
-                elif edit.kind == "add_cap":
-                    self._extra_cap[edit.target] = (
-                        self._extra_cap.get(edit.target, 0.0)
-                        + float(edit.value)
-                    )
-                    topology_changed = True
+                    before = self._ndr.get(name, self.base.nets[name].ndr)
+                    records.append(Edit("ndr", name, str(before), str(value)))
+                    self._ndr[name] = value
+                else:
+                    before = self._extra_cap.get(name, 0.0)
+                    self._extra_cap[name] = before + float(value)
+                    records.append(Edit("cap", name, str(before),
+                                        str(self._extra_cap[name])))
                 self._log.append(edit)
             if edits:
                 self.version += 1
-                self._sync_materialized(edited_instances)
-            return edited_instances, topology_changed
+                self._sync_materialized(
+                    [e.target for e in edits if e.kind == "set_cell"])
+            return records
 
     def discard(self) -> int:
         """Drop every session edit; returns how many were discarded.

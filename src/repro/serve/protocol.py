@@ -56,6 +56,23 @@ QUERY_OPS = ("timing", "signoff", "paths", "histogram", "apply_eco",
 ALL_OPS = CONTROL_OPS + QUERY_OPS
 
 
+def number(value: Any, name: str, lo, hi, integer: bool = False):
+    """The rule every numeric value in a request passes: a JSON number
+    (an integer when ``integer``; booleans are not numbers) inside
+    ``[lo, hi]``, which NaN and the infinities never are. Anything else
+    is the client's fault: ProtocolError, never a crash the supervisor
+    would retry. Returns the value (as a float unless ``integer``)."""
+    kinds = int if integer else (int, float)
+    if isinstance(value, bool) or not isinstance(value, kinds) \
+            or not lo <= value <= hi:
+        kind = "an integer" if integer else "a number"
+        raise ProtocolError(
+            f"{name} must be {kind} in [{lo}, {hi}], got {value!r}",
+            param=name,
+        )
+    return value if integer else float(value)
+
+
 def encode(message: Dict[str, Any]) -> bytes:
     """One wire frame: compact JSON + newline, bounded."""
     data = json.dumps(message, separators=(",", ":"),

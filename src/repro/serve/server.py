@@ -90,7 +90,7 @@ from repro.serve import protocol
 from repro.serve.admission import AdmissionQueue
 from repro.serve.overlay import OverlayEdit
 from repro.serve.session import Session, SessionManager
-from repro.sta.analysis import STA
+from repro.sta.incremental import split_edits
 from repro.sta.scheduler import ScenarioResultCache, scenario_fingerprint
 
 #: Session id of the shared (sessionless) query context. Not in the
@@ -108,23 +108,13 @@ def _number(params: Dict[str, Any], name: str, default, lo, hi,
             integer: bool = False):
     """A numeric request parameter, read before any work is done.
 
-    Absent or ``null`` gives ``default``. Otherwise the value must be a
-    JSON number (an integer when ``integer``; booleans are not numbers)
-    inside ``[lo, hi]``, or the request is the client's fault:
-    ProtocolError, never a crash the supervisor would retry.
+    Absent or ``null`` gives ``default``; any other value must pass
+    :func:`repro.serve.protocol.number`.
     """
     value = params.get(name)
     if value is None:
         return default
-    kinds = int if integer else (int, float)
-    if isinstance(value, bool) or not isinstance(value, kinds) \
-            or not lo <= value <= hi:
-        kind = "an integer" if integer else "a number"
-        raise ProtocolError(
-            f"{name} must be {kind} in [{lo}, {hi}], got {value!r}",
-            param=name,
-        )
-    return value if integer else float(value)
+    return protocol.number(value, name, lo, hi, integer)
 
 
 def _session_id(value, op: str) -> str:
@@ -717,29 +707,15 @@ class TimingDaemon:
             )
         return scenario
 
-    def _build_sta(self, session: Session, scenario) -> STA:
-        design = session.overlay.materialize()
-        corner = conventional_corners(self.stack)[
-            scenario.beol_corner_name
-        ]
-        return STA(
-            design,
-            scenario.library,
-            scenario.constraints,
-            stack=self.stack,
-            beol_corner=corner,
-            temp_c=scenario.temp_c,
-            derates=scenario.derates,
-        )
-
     def _scenario_report(self, session: Session, scenario,
                          attempt: int) -> Tuple[Any, str]:
         """One scenario's report for one session: cache, then retime.
 
-        Returns ``(report, source)`` with source in
-        ``{"cache", "incremental", "full"}``. Freshly computed reports
-        are cached and journaled under content-addressed keys, so they
-        survive both further queries and daemon restarts.
+        Returns ``(report, source)``: ``"cache"`` on a result-cache hit,
+        else the timer pool's answer (``"incremental"`` or ``"full"``).
+        Freshly computed reports are cached and journaled under
+        content-addressed keys, so they survive both further queries and
+        daemon restarts.
         """
         if self.fault_injector is not None:
             # Worker-scoped chaos fires here — inside the supervised
@@ -751,14 +727,11 @@ class TimingDaemon:
         cached = self.cache.lookup(*key)
         if cached is not None:
             return cached, "cache"
-        edited, topology = session.take_pending(scenario.name)
-        had_timer = session.timers.get(scenario.name) is not None
-        report = session.timers.retime(
-            scenario.name, edited, topology,
-            build=lambda: self._build_sta(session, scenario),
+        report, source = session.timers.retime(
+            scenario.name,
+            build=lambda: scenario.sta(design, self.stack),
         )
         report.scenario = scenario.name
-        source = "incremental" if had_timer and not topology else "full"
         self.cache.store(*key, report)
         if self.journal is not None:
             if not self.journal.record("scenario", key, report):
@@ -848,7 +821,8 @@ class TimingDaemon:
             # restart): path reconstruction needs a live STA, so build
             # one now — later path queries reuse it.
             session.timers.retime(
-                name, build=lambda: self._build_sta(session, scenario)
+                name, build=lambda: scenario.sta(
+                    session.overlay.materialize(), self.stack)
             )
             timer = session.timers.get(name)
         sta = timer.sta
@@ -992,9 +966,8 @@ class TimingDaemon:
         """
         current: Dict[str, str] = {}
         for edit in edits:
-            if edit.kind != "set_cell" \
-                    or not isinstance(edit.value, str):
-                continue  # overlay._validate covers shape errors
+            if edit.kind != "set_cell":
+                continue
             old_name = current.get(
                 edit.target, session.overlay.cell_of(edit.target)
             )
@@ -1015,7 +988,8 @@ class TimingDaemon:
             raise ProtocolError("apply_eco needs a non-empty edits list")
         edits = [OverlayEdit.from_wire(e) for e in raw]
         self._validate_eco(session, edits)
-        instances, topology = self.sessions.apply_eco(session, edits)
+        records = self.sessions.apply_eco(session, edits)
+        instances, topology = split_edits(records)
         # Eager hygiene: this session's cached snapshots are stale now.
         self.cache.invalidate_design(session.overlay.design_name)
         return {

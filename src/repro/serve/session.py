@@ -19,7 +19,9 @@ the daemon's :class:`~repro.runtime.journal.RunJournal`. A SIGKILL'd
 daemon replays the ledger on restart — sessions come back with their
 overlays (and therefore their content fingerprints, and therefore their
 warm cache hits) intact. Timers are rebuilt lazily on first query; they
-are derived state.
+are derived state. A journaled edit the daemon now refuses (a journal
+written before an edit check existed) brings its session back
+quarantined until the client discards it; the others restore as usual.
 """
 
 from __future__ import annotations
@@ -28,14 +30,16 @@ import enum
 import itertools
 import threading
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.errors import (
+    ReproError,
     ServeError,
     SessionNotFoundError,
     SessionQuarantinedError,
 )
 from repro.netlist.design import Design
+from repro.netlist.transforms import Edit
 from repro.serve.overlay import DesignOverlay, OverlayEdit
 from repro.sta.scheduler import ScenarioTimerPool
 
@@ -63,9 +67,6 @@ class Session:
         self.lock = threading.Lock()
         self.timers = ScenarioTimerPool(engine=engine,
                                         fault_injector=fault_injector)
-        #: Edits committed since each scenario's timer last retimed:
-        #: scenario name -> (edited instance names, topology flag).
-        self._pending: Dict[str, Tuple[List[str], bool]] = {}
         #: Monotonic ECO sequence number (journal key component).
         self.eco_seq = 0
         self.queries = 0
@@ -83,28 +84,10 @@ class Session:
                 "session is closed", session=self.id
             )
 
-    def note_edits(self, instances: Sequence[str],
-                   topology_changed: bool) -> None:
-        """Record committed edits as pending work for every warm timer."""
-        for name in self.timers.names():
-            pending_instances, pending_topo = self._pending.get(
-                name, ([], False)
-            )
-            self._pending[name] = (
-                pending_instances + list(instances),
-                pending_topo or topology_changed,
-            )
-        # Scenarios without a warm timer build fresh on first query and
-        # need no pending record — the build sees the current overlay.
-
-    def take_pending(self, scenario_name: str) -> Tuple[List[str], bool]:
-        return self._pending.pop(scenario_name, ([], False))
-
     def drop_timers(self) -> None:
         """Discard warm timers (after overlay discard / restore)."""
         for name in self.timers.names():
             self.timers.discard(name)
-        self._pending.clear()
 
     def reset_runtime(self) -> None:
         """Replace all derived runtime state with fresh objects.
@@ -242,17 +225,18 @@ class SessionManager:
     # ECO commits
 
     def apply_eco(self, session: Session,
-                  edits: Sequence[OverlayEdit]) -> Tuple[List[str], bool]:
+                  edits: Sequence[OverlayEdit]) -> List[Edit]:
         """Atomically commit edits to a session and journal the commit.
 
         The overlay commit happens first (atomic; a validation failure
         raises with nothing mutated and nothing journaled), then the
         ledger records the batch. A daemon killed between the two loses
         only the *acknowledgement*: the client never saw a success
-        response, retries, and the replayed overlay converges.
+        response, retries, and the replayed overlay converges. Returns
+        the committed edit records, queued for every warm timer.
         """
-        instances, topology = session.overlay.apply(edits)
-        session.note_edits(instances, topology)
+        records = session.overlay.apply(edits)
+        session.timers.note(records)
         if edits:
             session.eco_seq += 1
             if self.journal is not None:
@@ -260,7 +244,7 @@ class SessionManager:
                     "serve_eco", (session.id, session.eco_seq),
                     [edit.to_wire() for edit in edits],
                 )
-        return instances, topology
+        return records
 
     # ------------------------------------------------------------------ #
     # restore
@@ -297,11 +281,19 @@ class SessionManager:
                     continue
                 seq = int(key[1])
                 session.eco_seq = max(session.eco_seq, seq)
-                if seq <= discard_seq:
-                    continue  # discarded before the restart; stays dead
-                edits = [OverlayEdit.from_wire(e)
-                         for e in self.journal.lookup("serve_eco", key)]
-                session.overlay.apply(edits)
+                if seq <= discard_seq \
+                        or session.state is SessionState.QUARANTINED:
+                    continue  # discarded, or behind a refused commit
+                try:
+                    edits = [OverlayEdit.from_wire(e)
+                             for e in self.journal.lookup("serve_eco", key)]
+                    session.overlay.apply(edits)
+                except ReproError as exc:
+                    # Journaled before the edit checks refused it: keep
+                    # the session, unusable until the client discards.
+                    session.quarantine(
+                        f"journaled ECO {seq}: {type(exc).__name__}: "
+                        f"{exc.message}")
             self._sessions[sid] = session
             self.restored += 1
 

@@ -72,7 +72,6 @@ from repro.runtime.supervisor import (
     TaskStatus,
 )
 from repro.sta.algebra import SCALAR
-from repro.sta.analysis import STA
 from repro.sta.constraints import ClockSpec, Constraints
 from repro.sta.etm import ExtractedTimingModel, extract_etm
 from repro.sta.graph import NetEdge
@@ -124,12 +123,9 @@ def _extract_etm_job(job, attempt: int = 1):
     workers share the block design, as signoff workers do (see
     :meth:`Design.bind`).
     """
-    (block, design, library, constraints, stack, corner_name, temp_c,
-     derates) = job
-    corner = conventional_corners(stack)[corner_name]
+    block, design, scenario, stack = job
     with obs_tracing.span("etm_extract", block=block, attempt=attempt):
-        sta = STA(design, library, constraints, stack=stack,
-                  beol_corner=corner, temp_c=temp_c, derates=derates)
+        sta = scenario.sta(design, stack)
         with obs_tracing.span("sta_run", block=block):
             sta.run()
         with obs_tracing.span("etm_tabulate", block=block):
@@ -565,16 +561,8 @@ class HierScheduler:
                     name=(f"etm:{plan[key]['consumers'][0][0]}:"
                           f"{plan[key]['block']}"),
                     fn=_extract_etm_job,
-                    payload=(
-                        plan[key]["block"],
-                        plan[key]["design"],
-                        plan[key]["scenario"].library,
-                        plan[key]["scenario"].constraints,
-                        self.stack,
-                        plan[key]["scenario"].beol_corner_name,
-                        plan[key]["scenario"].temp_c,
-                        plan[key]["scenario"].derates,
-                    ),
+                    payload=(plan[key]["block"], plan[key]["design"],
+                             plan[key]["scenario"], self.stack),
                 )
                 for key in todo_keys
             ])
@@ -765,9 +753,7 @@ def compare_hier_vs_flat(
     t0 = time.perf_counter()
     flat_view: Dict[str, tuple] = {}
     for s in scenarios:
-        corner = conventional_corners(stack)[s.beol_corner_name]
-        sta = STA(flat, s.library, s.constraints, stack=stack,
-                  beol_corner=corner, temp_c=s.temp_c, derates=s.derates)
+        sta = s.sta(flat, stack)
         report = sta.run()
         report.scenario = s.name
         flat_view[s.name] = (sta, report,

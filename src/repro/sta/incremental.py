@@ -3,13 +3,14 @@
 The paper's Comment 1 celebrates physically-aware ECO tooling; the timer
 side of that story is *incrementality* — after a cell swap or resize,
 only the affected cone needs re-timing, not the whole design. This module
-provides that for topology-preserving edits (Vt-swap, resize): it
-invalidates the downstream cone of the edited cells (including the
-drivers of their input nets, whose loads changed) and re-propagates just
-those pins, reusing stored arrivals everywhere else.
+provides that for cell swaps (Vt-swap, resize): it invalidates the
+downstream cone of the edited cells (including the drivers of their
+input nets, whose loads changed) and re-propagates just those pins,
+reusing stored arrivals everywhere else.
 
-Topology-changing edits (buffer insertion, NDR promotion, useful skew)
-fall back to a full rebuild — the honest boundary real incremental
+Every other edit record :meth:`IncrementalTimer.update` is handed
+(buffer, NDR, added cap, useful skew; :func:`split_edits` is the rule)
+falls back to a full rebuild — the honest boundary real incremental
 timers also draw, just further out. :meth:`IncrementalTimer.full_update`
 really is a full rebuild: it re-binds the design, drops cached
 parasitics and reconstructs the timing graph, so it stays correct even
@@ -24,8 +25,8 @@ Guarantees the closure loop leans on:
 - **Atomicity** — :meth:`IncrementalTimer.update_cells` validates every
   edit against the graph *before* mutating anything; an edit the timer
   cannot absorb raises :class:`~repro.errors.TimingError` with the
-  graph, arrivals and report untouched, so the caller can fall back to
-  :meth:`full_update` on a still-usable timer.
+  graph, arrivals and report untouched, so :meth:`IncrementalTimer.update`
+  falls back to :meth:`full_update` on a still-usable timer.
 - **No-op updates are free** — an empty edit list returns the existing
   report without re-timing anything.
 
@@ -49,6 +50,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import TimingError
 from repro.netlist.design import PinRef
+from repro.netlist.transforms import Edit
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing as obs_tracing
 from repro.liberty.cell import PinDirection
@@ -61,6 +63,15 @@ from repro.sta.propagation import (
     _propagate_net_edge,
 )
 from repro.sta.reports import EndpointResult, SlewViolation, TimingReport
+
+
+def split_edits(edits: Iterable[Edit]) -> Tuple[List[str], bool]:
+    """The retime rule: ``(swapped_instances, needs_full)``, the targets
+    of the ``swap`` records in order, and whether any other record
+    needs a full update."""
+    edits = list(edits)
+    swapped = [edit.target for edit in edits if edit.kind == "swap"]
+    return swapped, len(swapped) < len(edits)
 
 
 class IncrementalTimer:
@@ -89,6 +100,19 @@ class IncrementalTimer:
         self._sync()
 
     # ------------------------------------------------------------------ #
+
+    def update(self, edits: Iterable[Edit]) -> Tuple[TimingReport, str]:
+        """Re-time after committed edit records. Returns the report and
+        ``"incremental"`` (a cone update over the swaps; none is a no-op)
+        or ``"full"`` (a record :func:`split_edits` sends to a full
+        update, or swaps the cone update refused: an arc set changed)."""
+        swapped, needs_full = split_edits(edits)
+        if not needs_full:
+            try:
+                return self.update_cells(swapped), "incremental"
+            except TimingError:
+                pass
+        return self.full_update(), "full"
 
     def update_cells(self, instance_names: Iterable[str]) -> TimingReport:
         """Re-time after swaps/resizes of the named instances.

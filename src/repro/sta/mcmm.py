@@ -36,18 +36,20 @@ class Scenario:
     temp_c: Optional[float] = None
     derates: Derates = field(default_factory=Derates)
 
-    def run(self, design: Design, stack: BeolStack) -> TimingReport:
-        corner = conventional_corners(stack)[self.beol_corner_name]
-        sta = STA(
+    def sta(self, design: Design, stack: BeolStack) -> STA:
+        """This view's STA over ``design`` and ``stack``, not yet run."""
+        return STA(
             design,
             self.library,
             self.constraints,
             stack=stack,
-            beol_corner=corner,
+            beol_corner=conventional_corners(stack)[self.beol_corner_name],
             temp_c=self.temp_c,
             derates=self.derates,
         )
-        report = sta.run()
+
+    def run(self, design: Design, stack: BeolStack) -> TimingReport:
+        report = self.sta(design, stack).run()
         report.scenario = self.name
         return report
 

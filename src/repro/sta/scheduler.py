@@ -42,6 +42,7 @@ from repro.beol.stack import BeolStack, default_stack
 from repro.errors import SignoffError, TimingError
 from repro.liberty.tables import LookupTable2D
 from repro.netlist.design import Design
+from repro.netlist.transforms import Edit
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing as obs_tracing
 from repro.runtime.journal import RunJournal
@@ -466,10 +467,10 @@ class ScenarioTimerPool:
     Re-signoff inside a closure loop used to re-bind a fresh STA per
     scenario per iteration — full graph construction, parasitic
     extraction and propagation every time. The pool instead keeps each
-    scenario's timer alive: a footprint-preserving edit set re-times only
-    its downstream cone, a topology-changing edit set (or an edit the
-    timer cannot absorb) falls back to the timer's honest
-    :meth:`~repro.sta.incremental.IncrementalTimer.full_update`.
+    scenario's timer alive and queues the edit records committed since
+    its last retime (:meth:`note`); :meth:`retime` hands them to
+    :meth:`~repro.sta.incremental.IncrementalTimer.update`, which alone
+    chooses a cone or a full update.
 
     The pool is a *serial* engine by design: timers hold live, mutable
     STA state bound to the shared design, and their ECO retimes edit
@@ -495,9 +496,11 @@ class ScenarioTimerPool:
         #: so chaos plans exercise the reference fallback on warm pools.
         self.fault_injector = fault_injector
         self._timers: Dict[str, "IncrementalTimer"] = {}
+        #: Edit records committed since each warm timer last retimed.
+        self._pending: Dict[str, List[Edit]] = {}
         #: Retime calls served by a warm timer's cone-limited update.
         self.incremental_retimes = 0
-        #: Retime calls that re-ran fully (topology change or fallback).
+        #: Retime calls that re-ran fully (non-swap edit or fallback).
         self.full_retimes = 0
         #: Fresh STA constructions (first signoff of a scenario).
         self.builds = 0
@@ -515,25 +518,30 @@ class ScenarioTimerPool:
 
         timer = IncrementalTimer(sta, engine=self.engine)
         self._timers[name] = timer
+        self._pending[name] = []
         return timer
 
     def discard(self, name: str) -> None:
         self._timers.pop(name, None)
+        self._pending.pop(name, None)
+
+    def note(self, edits: Sequence[Edit]) -> None:
+        """Queue committed edit records for every warm timer. A scenario
+        without one builds over the edited design and needs none."""
+        for pending in self._pending.values():
+            pending.extend(edits)
 
     def retime(
         self,
         name: str,
-        edited_instances: Sequence[str] = (),
-        topology_changed: bool = False,
         build: Optional[Callable[[], object]] = None,
-    ) -> TimingReport:
-        """Re-time scenario ``name`` after an ECO edit set.
-
-        ``edited_instances`` names the footprint-preserved instances the
-        pass touched; ``topology_changed`` forces the full path. A
-        scenario without a warm timer needs ``build`` (a zero-arg
-        callable returning a constructed-but-not-necessarily-run STA);
-        its first retime is a full build, later ones warm-start.
+    ) -> Tuple[TimingReport, str]:
+        """Re-time scenario ``name`` over the edits noted since its last
+        retime; returns ``(report, how)``, ``how`` being the warm timer's
+        answer (``"incremental"`` or ``"full"``). A scenario without a
+        warm timer needs ``build`` (a zero-arg callable returning a
+        constructed-but-not-necessarily-run STA); its first retime is a
+        fresh build and answers ``"full"``.
         """
         timer = self._timers.get(name)
         if timer is None:
@@ -549,19 +557,14 @@ class ScenarioTimerPool:
                                   self.fault_injector)
             self.adopt(name, sta)
             self.builds += 1
-            return sta.report
-        if topology_changed:
+            return sta.report, "full"
+        edits, self._pending[name] = self._pending.get(name, []), []
+        report, how = timer.update(edits)
+        if how == "incremental":
+            self.incremental_retimes += 1
+        else:
             self.full_retimes += 1
-            return timer.full_update()
-        try:
-            report = timer.update_cells(edited_instances)
-        except TimingError:
-            # The edit outran the cone update (arc set changed); the
-            # timer is untouched, so the honest fallback still applies.
-            self.full_retimes += 1
-            return timer.full_update()
-        self.incremental_retimes += 1
-        return report
+        return report, how
 
 
 # ---------------------------------------------------------------------- #

@@ -11,7 +11,9 @@ import threading
 import pytest
 
 from repro.errors import NetlistError, ServeError
+from repro.netlist.transforms import Edit
 from repro.serve import DesignOverlay, OverlayEdit
+from repro.sta.incremental import split_edits
 from tests.serve.conftest import make_design, nand2_instance
 
 
@@ -101,14 +103,21 @@ class TestCopyOnWrite:
         )
 
     def test_topology_flags(self, base):
+        """apply returns the edit records it committed; the timer's rule
+        reads a swap as cone-retimable and a net edit as a full update."""
         overlay = DesignOverlay(base, "s-1")
         target = nand2_instance(base)
-        instances, topo = overlay.apply(
-            [edit("set_cell", target, "NAND2_X2_SVT")]
-        )
-        assert instances == [target] and not topo
-        _, topo = overlay.apply([edit("set_ndr", "n0", True)])
-        assert topo
+        before = base.instances[target].cell_name
+        records = overlay.apply([edit("set_cell", target, "NAND2_X2_SVT")])
+        assert records == [Edit("swap", target, before, "NAND2_X2_SVT")]
+        assert split_edits(records) == ([target], False)
+        records = overlay.apply([edit("set_ndr", "n0", True),
+                                 edit("add_cap", "n0", 5.0),
+                                 edit("add_cap", "n0", 2.5)])
+        assert records == [Edit("ndr", "n0", "False", "True"),
+                           Edit("cap", "n0", "0.0", "5.0"),
+                           Edit("cap", "n0", "5.0", "7.5")]
+        assert split_edits(records) == ([], True)
 
 
 class TestAtomicity:

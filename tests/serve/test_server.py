@@ -1,6 +1,7 @@
 """End-to-end daemon tests over real sockets: queries, backpressure,
 degradation, containment and warm restart — all in-process."""
 
+import copy
 import json
 import socket
 import time
@@ -14,8 +15,16 @@ from repro.obs import metrics, tracing
 from repro.obs.export import summarize
 from repro.obs.export import chrome_trace
 from repro.runtime import RunJournal
-from repro.serve import DaemonConfig, TimingClient, protocol
-from repro.sta import STA
+from repro.netlist.generators import random_logic
+from repro.serve import (
+    DaemonConfig,
+    SessionManager,
+    TimingClient,
+    TimingDaemon,
+    protocol,
+)
+from repro.sta import STA, Constraints
+from repro.sta.mcmm import Scenario
 from repro.sta.kernel import ENGINES
 from repro.testing import FaultInjector, FaultPlan
 from repro.testing.faults import Fault
@@ -221,6 +230,75 @@ class TestSessions:
         assert second["sources"] == {"tt_typ": "cache", "ss_cw": "cache"}
         assert stats["cache"]["misses"] == misses
         assert second["scenarios"] == first["scenarios"]
+
+    @pytest.mark.parametrize("bad", [
+        {"kind": "add_cap", "target": "n0", "value": "x"},
+        {"kind": "add_cap", "target": "n0", "value": float("nan")},
+        {"kind": "add_cap", "target": "n0", "value": True},
+        {"kind": "add_cap", "target": "n0", "value": -1e6},
+        {"kind": "add_cap", "target": "n0", "value": 1e308},
+        {"kind": "set_ndr", "target": "n0", "value": "false"},
+        {"kind": "set_cell", "target": "NAND2", "value": None},
+        {"kind": "resize", "target": "NAND2", "value": "NAND2_X2_SVT"},
+        {"kind": "set_cell", "target": "", "value": "NAND2_X2_SVT"},
+        "n0",
+    ], ids=["cap-text", "cap-nan", "cap-bool", "cap-negative",
+            "cap-huge", "ndr-text", "cell-null", "unknown-kind",
+            "empty-target", "not-an-object"])
+    def test_malformed_edit_is_bad_request(self, daemon_factory, bad):
+        """A malformed edit is the client's fault: E_BAD_REQUEST, and
+        nothing commits, beside a valid edit or alone."""
+        design = make_design()
+        daemon = daemon_factory(design=design)
+        if isinstance(bad, dict) and bad["target"] == "NAND2":
+            bad = {**bad, "target": nand2_instance(design)}
+        good = {"kind": "add_cap", "target": "n1", "value": 5.0}
+        with client_for(daemon) as client:
+            sid = client.request("open_session")["session"]
+            baseline = client.request("timing", session=sid)["scenarios"]
+            for edits in ([bad], [good, bad]):
+                with pytest.raises(ServeError) as info:
+                    client.request("apply_eco", {"edits": edits},
+                                   session=sid)
+                assert info.value.code == "E_BAD_REQUEST"
+                assert not info.value.retryable
+            result = client.request("timing", session=sid)
+        assert result["version"] == 0
+        assert result["scenarios"] == baseline
+        assert daemon.quarantines == 0
+
+    def test_refused_cone_update_reads_full(self, lib):
+        """The pool's answer is the source: a swap the cone update
+        refuses (its new cell lacks an arc) re-times fully and says so."""
+        arcless = copy.deepcopy(lib)
+        cell = arcless.cell("NAND2_X2_SVT")
+        cell.arcs = [a for a in cell.arcs
+                     if (a.related_pin, a.pin) != ("B", "ZN")]
+        design = random_logic(n_gates=80, n_levels=5, seed=3)
+        scenario = Scenario("tt", arcless, Constraints.single_clock(500.0))
+        target = nand2_instance(design)
+        daemon = TimingDaemon(design, [scenario],
+                              config=DaemonConfig(workers=1))
+        daemon.start()
+        try:
+            with client_for(daemon) as client:
+                sid = client.request("open_session")["session"]
+                assert client.request("timing", session=sid)["sources"] \
+                    == {"tt": "full"}
+                client.request("apply_eco", {"edits": [
+                    {"kind": "set_cell", "target": target,
+                     "value": "NAND2_X2_SVT"}]}, session=sid)
+                result = client.request("timing", session=sid)
+                timers = client.request("stats")["timers"]
+        finally:
+            daemon.stop()
+        assert result["sources"] == {"tt": "full"}
+        assert timers["incremental_retimes"] == 0
+        assert timers["full_retimes"] == 1
+        edited = random_logic(n_gates=80, n_levels=5, seed=3)
+        edited.instances[target].cell_name = "NAND2_X2_SVT"
+        assert result["scenarios"]["tt"]["wns_setup"] == \
+            reference_row(edited, scenario)[0]
 
     def test_apply_eco_requires_session(self, daemon_factory):
         daemon = daemon_factory()
@@ -591,3 +669,44 @@ class TestLifecycleAndStats:
         # first post-restart query is a cache hit with identical numbers.
         assert set(after["sources"].values()) == {"cache"}
         assert after["scenarios"] == before["scenarios"]
+
+    def test_restart_quarantines_a_session_holding_a_refused_edit(
+            self, daemon_factory, tmp_path):
+        """A journal may hold an edit the daemon now refuses (one
+        written before the edit checks): the daemon still starts, that
+        session answers E_QUARANTINED until discarded, and the others
+        restore with their edits."""
+        path = tmp_path / "serve.journal"
+        design = make_design()
+        target = nand2_instance(design)
+        journal = RunJournal(path)
+        for sid, edit in (
+            ("s-1", {"kind": "add_cap", "target": "n0",
+                     "value": float("nan")}),
+            ("s-2", {"kind": "set_cell", "target": target,
+                     "value": "NAND2_X2_SVT"}),
+        ):
+            journal.record("serve_session", sid, {"state": "open"})
+            journal.record("serve_eco", (sid, 1), [edit])
+        journal.record("serve_eco", ("s-1", 2), [
+            {"kind": "add_cap", "target": "n1", "value": 5.0}])
+
+        daemon = daemon_factory(design=design, journal=RunJournal(path))
+        assert daemon.sessions.restored == 2
+        with client_for(daemon) as client:
+            with pytest.raises(ServeError) as info:
+                client.request("timing", session="s-1")
+            assert info.value.code == "E_QUARANTINED"
+            kept = client.request("timing", session="s-2")
+            assert kept["version"] == 1
+            assert client.request("discard", session="s-1")["discarded"] \
+                == 0
+            assert client.request("timing", session="s-1")["version"] == 0
+        daemon.stop()
+
+        # The discard outlives another restart.
+        session = SessionManager(make_design(),
+                                 journal=RunJournal(path)).get("s-1")
+        session.ensure_usable()
+        assert session.overlay.edit_count == 0
+        assert session.eco_seq == 2

@@ -7,10 +7,10 @@ import time
 import numpy as np
 import pytest
 
-from repro.errors import TimingError
+from repro.errors import LibraryError, NetlistError, TimingError
 from repro.liberty import LibraryCondition, make_library
 from repro.netlist.generators import random_logic
-from repro.netlist.transforms import upsize
+from repro.netlist.transforms import Edit, set_ndr, upsize
 from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime.supervisor import RetryPolicy
@@ -529,7 +529,8 @@ class TestScenarioTimerPool:
 
     def test_first_retime_builds_then_warm_starts(self, lib):
         design, c, pool, build = self._pool_setup(lib)
-        report = pool.retime("tt", build=build)
+        report, how = pool.retime("tt", build=build)
+        assert how == "full"
         assert pool.builds == 1
         assert pool.incremental_retimes == pool.full_retimes == 0
         assert pool.get("tt") is not None
@@ -540,9 +541,11 @@ class TestScenarioTimerPool:
             i.name for i in design.combinational_instances(lib)
             if i.cell_name.startswith("NAND2")
         )
-        assert upsize(design, lib, name)
+        edit = upsize(design, lib, name)
+        assert edit is not None
         timer_before = pool.get("tt")
-        pool.retime("tt", edited_instances=[name])
+        pool.note([edit])
+        assert pool.retime("tt")[1] == "incremental"
         assert pool.get("tt") is timer_before  # reused, not re-bound
         assert pool.incremental_retimes == 1
         assert pool.full_retimes == 0
@@ -551,7 +554,9 @@ class TestScenarioTimerPool:
     def test_topology_change_forces_full_update(self, lib):
         design, c, pool, build = self._pool_setup(lib)
         pool.retime("tt", build=build)
-        pool.retime("tt", topology_changed=True)
+        net = next(n for n in design.nets if not n.startswith("clk"))
+        pool.note([set_ndr(design, net)])
+        assert pool.retime("tt")[1] == "full"
         assert pool.full_retimes == 1
         assert pool.incremental_retimes == 0
         assert pool.get("tt").full_updates == 1
@@ -565,17 +570,20 @@ class TestScenarioTimerPool:
         )
         inst = design.instance(name)
         # Arc-set-changing corruption the cone update must refuse.
-        inst.cell_name = inst.cell_name.replace("NAND2", "INV")
-        with pytest.raises(Exception):
+        before = inst.cell_name
+        inst.cell_name = before.replace("NAND2", "INV")
+        pool.note([Edit("swap", name, before, inst.cell_name)])
+        with pytest.raises(LibraryError, match="no pin 'B'"):
             # Unbindable corruption even the full update rejects...
-            pool.retime("tt", edited_instances=[name])
+            pool.retime("tt")
 
         design2, c2, pool2, build2 = self._pool_setup(lib)
         pool2.retime("tt", build=build2)
-        # ...whereas a legal swap the planner refuses is downgraded:
-        # simulate by asking for an instance that does not exist.
-        with pytest.raises(Exception):
-            pool2.retime("tt", edited_instances=["nonexistent"])
+        # ...and a swap record naming no instance is refused before the
+        # cone update mutates anything.
+        pool2.note([Edit("swap", "nonexistent", "", "")])
+        with pytest.raises(NetlistError, match="nonexistent"):
+            pool2.retime("tt")
 
     def test_retime_without_timer_needs_build(self, lib):
         from repro.sta.scheduler import ScenarioTimerPool
@@ -601,9 +609,12 @@ class TestScenarioTimerPool:
             i.name for i in design.combinational_instances(lib)
             if i.cell_name.startswith("NAND2")
         )
-        assert upsize(design, lib, name)
-        tt_report = pool.retime("tt", edited_instances=[name])
-        ss_report = pool.retime("ss", edited_instances=[name])
+        edit = upsize(design, lib, name)
+        assert edit is not None
+        pool.note([edit])
+        tt_report, tt_how = pool.retime("tt")
+        ss_report, ss_how = pool.retime("ss")
+        assert tt_how == ss_how == "incremental"
         assert pool.incremental_retimes == 2
         # Each scenario's warm retime equals its own from-scratch run.
         assert tt_report.render_full() == \
