@@ -208,11 +208,60 @@ def _cmd_sta(args) -> int:
     return 0 if report.wns("setup") >= 0 and report.wns("hold") >= 0 else 1
 
 
+_DESIGN_FLAGS = ("design", "gates", "seed", "period", "input_delay")
+_LIBRARY_FLAGS = ("process", "vdd", "temp", "aging_mv")
+_FANOUT_FLAGS = ("jobs", "executor", "engine", "retries", "timeout")
+_SSTA_FLAGS = ("ssta", "ssta_samples", "ssta_rho", "ssta_corners",
+               "ssta_mc", "ssta_bench", "yield_target", "tune_range")
+
+#: The flags (argparse dests) each ``signoff`` route reads, besides
+#: ``--trace`` and ``--metrics``, which every route reads. A flag set
+#: away from its default on a route that does not read it is refused
+#: before any work.
+_SIGNOFF_ROUTE_FLAGS: Dict[str, tuple] = {
+    "signoff": _DESIGN_FLAGS + _FANOUT_FLAGS + (
+        "checkpoint", "resume", "keep_going", "inject_faults",
+        "no_validate"),
+    "signoff --hier": ("hier", "blocks", "seed", "gates", "period")
+    + _FANOUT_FLAGS,
+    "signoff --ssta": _DESIGN_FLAGS + _LIBRARY_FLAGS + _SSTA_FLAGS,
+    # The standard scenario set brings its own libraries.
+    "signoff --ssta --ssta-corners N": _DESIGN_FLAGS + _SSTA_FLAGS,
+    # The PST benchmark block is built from --seed alone.
+    "signoff --ssta --ssta-bench": ("seed",) + _SSTA_FLAGS,
+}
+
+
+def _signoff_route(args) -> str:
+    if args.hier:
+        return "signoff --hier"
+    if not args.ssta:
+        return "signoff"
+    if args.ssta_bench:
+        return "signoff --ssta --ssta-bench"
+    if args.ssta_corners > 1:
+        return "signoff --ssta --ssta-corners N"
+    return "signoff --ssta"
+
+
 def _cmd_signoff(args) -> int:
     from repro.runtime import RetryPolicy
     from repro.sta.mcmm import standard_scenario_set
     from repro.sta.scheduler import ScenarioResultCache, SignoffScheduler
     from repro.validate import ensure_valid
+
+    route = _signoff_route(args)
+    reads = set(_SIGNOFF_ROUTE_FLAGS[route]) | {
+        "command", "func", "trace", "metrics"}
+    defaults = vars(build_parser().parse_args(["signoff"]))
+    unread = [f"--{dest.replace('_', '-')}"
+              for dest, default in defaults.items()
+              if dest not in reads and getattr(args, dest) != default]
+    if unread:
+        # The --jobs guard's contract: exit 1 before any work, one line.
+        print(f"error: {route} does not read {', '.join(unread)}",
+              file=sys.stderr)
+        return EXIT_VIOLATIONS
 
     if args.jobs < 1:
         # Deliberately exit 1 (not argparse's 2): the flag parsed fine,
@@ -299,12 +348,18 @@ def _cmd_signoff_ssta(args) -> int:
     and endpoint criticalities, then the PST tuning pass. Exit 0 when
     every scenario reaches the yield target after tuning, else 1.
     """
-    from repro.sta.algebra import VariationModel
-    from repro.sta.mcmm import standard_scenario_set
+    from repro.beol.stack import default_stack
+    from repro.sta.algebra import (
+        CanonicalAlgebra,
+        MonteCarloAlgebra,
+        VariationModel,
+    )
+    from repro.sta.mcmm import Scenario, standard_scenario_set
     from repro.sta.ssta import (
-        monte_carlo_ssta,
+        McResult,
+        SstaRun,
         pst_benchmark_setup,
-        run_ssta,
+        require_lvf,
         tune_to_yield,
     )
 
@@ -314,24 +369,27 @@ def _cmd_signoff_ssta(args) -> int:
         design, library, constraints = _make_setup(args)
     model = VariationModel(rho=args.ssta_rho)
 
-    scenarios = [(library.name, library, constraints)]
+    stack = default_stack()
+    scenarios = [Scenario(library.name, library, constraints)]
     if args.ssta_corners > 1:
         sset = standard_scenario_set(constraints, _scenario_library)
-        scenarios = [
-            (s.name, s.library, s.constraints)
-            for s in sset.scenarios[: args.ssta_corners]
-        ]
+        scenarios = sset.scenarios[: args.ssta_corners]
 
     exit_code = EXIT_CLEAN
     with _obs_session(args):
-        for name, lib, cons in scenarios:
-            run = run_ssta(design, lib, cons, model=model,
-                           n_samples=args.ssta_samples)
-            print(f"scenario {name}:")
+        for scenario in scenarios:
+            require_lvf(scenario.library)
+            sta = scenario.sta(design, stack,
+                               algebra=CanonicalAlgebra(design, model))
+            sta.run()
+            run = SstaRun(sta, model, n_samples=args.ssta_samples)
+            print(f"scenario {scenario.name}:")
             print(run.render())
             if args.ssta_mc:
-                mc = monte_carlo_ssta(design, lib, cons, model=model,
-                                      n_samples=args.ssta_mc)
+                mc_sta = scenario.sta(design, stack, algebra=MonteCarloAlgebra(
+                    design, model, n_samples=args.ssta_mc))
+                mc_sta.run()
+                mc = McResult.from_sta(mc_sta)
                 print(f"  mc yield ({mc.n_samples} samples): "
                       f"{mc.timing_yield:.4f}")
             tuned = tune_to_yield(run, target_yield=args.yield_target,

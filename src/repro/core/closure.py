@@ -14,11 +14,12 @@ cells' downstream cones; any edit that changes topology, parasitics or
 constraints (buffering, NDR, useful skew) gets the timer's honest full
 update. Because cone updates are cheap, the loop re-times *between*
 stages, so each engine sees fresh timing instead of compounding fixes
-on stale slack. One registered timer per scenario lives in a
-:class:`~repro.sta.scheduler.ScenarioTimerPool` and warm-starts across
-iterations instead of re-binding a fresh STA each pass;
-``ClosureConfig(timing="full")`` runs the same staged loop but rebuilds
-a fresh STA at every stage boundary (the benchmark baseline).
+on stale slack. Every timing pass, the first one included, goes
+through one :class:`~repro.sta.scheduler.ScenarioTimerPool`, whose
+timer per scenario warm-starts across iterations instead of re-binding
+a fresh STA each pass; ``ClosureConfig(timing="full")`` runs the same
+staged loop but discards the warm timer before every stage, so each
+stage times a fresh STA (the benchmark baseline).
 
 The footnote of Fig 1 maps iterations to schedule: "three weeks for the
 final pass permits five three-day repair and signoff analysis
@@ -48,7 +49,7 @@ from repro.runtime.supervisor import (
 )
 from repro.sta.analysis import STA
 from repro.sta.constraints import Constraints
-from repro.sta.kernel import ENGINES, run_on_engine
+from repro.sta.kernel import ENGINES
 from repro.sta.propagation import Derates
 from repro.sta.reports import TimingReport
 from repro.sta.scheduler import ScenarioTimerPool
@@ -315,7 +316,7 @@ class ClosureEngine:
             )
         self.journal = journal
         self.fault_injector = fault_injector
-        #: Warm per-scenario incremental timers (timing="incremental").
+        #: The per-scenario timers every timing pass goes through.
         self.timer_pool = ScenarioTimerPool()
         #: Successful timing passes this engine executed — fresh STA
         #: builds *and* warm retimes (the recomputation counter
@@ -384,32 +385,18 @@ class ClosureEngine:
         self.sta_runs += 1
         return execution
 
-    def _run_sta(self, label: str = "sta") -> STA:
-        """One supervised STA pass: build and run a fresh STA."""
-
-        def attempt(_payload, attempt_no: int) -> STA:
-            if self.fault_injector is not None:
-                self.fault_injector.fire(label, attempt_no)
-            sta = self._build_sta()
-            run_on_engine(sta, self.timer_pool.engine, label)
-            return sta
-
-        with obs_tracing.span("sta_build", label=label) as build_span:
-            execution = self._supervised(label, attempt)
-            build_span.set(attempts=execution.attempts)
-        return execution.result
-
     def _retime(
         self,
         scenario_name: str,
         edits: Sequence[Edit],
         label: str,
-    ) -> Tuple[TimingReport, str]:
-        """One supervised warm retime of a stage's edit records through
-        the timer pool; returns the pool's ``(report, how)``. A retry
-        first discards the warm timer (the failed attempt's mid-update
-        state is not trusted), so it rebuilds from scratch; exhaustion
-        raises :class:`ClosureError` exactly like :meth:`_run_sta`.
+    ) -> Tuple[STA, str]:
+        """One supervised timing pass through the timer pool: the warm
+        timer absorbs ``edits``, and a scenario without one builds fresh.
+        Returns the timer's STA and the pool's ``how``. A retry first
+        discards the warm timer (the failed attempt's mid-update state
+        is not trusted), so it rebuilds from scratch; exhaustion raises
+        :class:`ClosureError`.
         """
         pool = self.timer_pool
         pool.note(edits)
@@ -421,7 +408,8 @@ class ClosureEngine:
                 self.fault_injector.fire(label, attempt_no)
             return pool.retime(scenario_name, build=self._build_sta)
 
-        return self._supervised(label, attempt).result
+        _, how = self._supervised(label, attempt).result
+        return pool.get(scenario_name).sta, how
 
     def run(self, config: Optional[ClosureConfig] = None,
             resume: bool = False) -> ClosureReport:
@@ -445,8 +433,7 @@ class ClosureEngine:
         incremental = config.timing == "incremental"
         # The engine is a per-run choice (it lives on the config, like
         # the timing mode), but the pool is per-engine state: point it
-        # at this run's engine so fresh builds, warm adoptions and
-        # full-mode passes all time through the same path.
+        # at this run's engine, since every pass times through it.
         self.timer_pool.engine = config.engine
         scenario_name = self.library.name
         run_key = (
@@ -473,8 +460,12 @@ class ClosureEngine:
                         break
             first_iteration = resumed + 1
 
+            # The first pass is a fresh build: no warm timer outlives a
+            # run (a resumed design is not the one it timed).
+            self.timer_pool.discard(scenario_name)
             try:
-                sta = self._run_sta(label=f"iter{first_iteration}")
+                sta, _ = self._retime(scenario_name, [],
+                                      label=f"iter{first_iteration}")
             except ClosureError as exc:
                 if not records:
                     raise
@@ -486,11 +477,6 @@ class ClosureEngine:
                     aborted=f"{type(exc).__name__}: {exc}",
                     resumed_iterations=resumed,
                 )
-            if incremental:
-                # One registered timer per scenario, warm across
-                # iterations.
-                self.timer_pool.discard(scenario_name)
-                self.timer_pool.adopt(scenario_name, sta)
             aborted: Optional[str] = None
             timing_wall_s = 0.0
             incremental_retimes = 0
@@ -615,17 +601,14 @@ class ClosureEngine:
                 with obs_tracing.span("retime", edits=len(stage_edits)) \
                         as retime_span:
                     try:
-                        if incremental:
-                            _, engine_used = self._retime(
-                                scenario_name, stage_edits,
-                                label=f"iter{iteration + 1}",
-                            )
-                            sta = self.timer_pool.get(scenario_name).sta
-                        else:
-                            sta = self._run_sta(
-                                label=f"iter{iteration + 1}"
-                            )
-                            engine_used = "rebuild"
+                        if not incremental:
+                            # timing="full": every stage on a fresh STA.
+                            self.timer_pool.discard(scenario_name)
+                        sta, how = self._retime(
+                            scenario_name, stage_edits,
+                            label=f"iter{iteration + 1}",
+                        )
+                        engine_used = how if incremental else "rebuild"
                     except ClosureError as exc:
                         # Persistent STA failure mid-loop: keep the
                         # trajectory up to the last healthy iteration

@@ -124,7 +124,7 @@ def _evaluate(design: Design, policy: SignoffPolicy) -> SignoffVerdict:
         design=design,
         constraints=worst_scenario.constraints,
         process=worst_scenario.library.process,
-        temp_c=worst_scenario.temp_c or worst_scenario.library.temp_c,
+        temp_c=worst_scenario.temperature,
         v_max=policy.avs_v_max,
     )
     try:
@@ -160,8 +160,7 @@ def _most_typical(scenarios: ScenarioSet) -> str:
         return (
             (0.0 if lib.process == "tt" else 1.0)
             + abs(lib.vdd - 0.8)
-            + abs((s.temp_c if s.temp_c is not None else lib.temp_c) - 25.0)
-            / 1000.0
+            + abs(s.temperature - 25.0) / 1000.0
         )
 
     return min(scenarios.scenarios, key=badness).name

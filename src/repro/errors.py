@@ -185,7 +185,8 @@ class ProtocolError(ServeError):
 
 
 class AdmissionShedError(ServeError):
-    """The bounded admission queue was full and the request was shed.
+    """The bounded admission queue (or the session table) was full and
+    the request was shed.
 
     This is load-shedding backpressure, not failure: the request was
     never admitted, so resubmitting after a backoff is always safe.

@@ -62,7 +62,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.beol.corners import conventional_corners
 from repro.beol.stack import BeolStack, default_stack
 from repro.errors import (
     DaemonUnavailableError,
@@ -379,7 +378,10 @@ class TimingDaemon:
         # Polling timeout rather than a blocking accept: closing the
         # listener from stop() does not reliably wake a blocked
         # accept(), which would wedge shutdown for the join timeout.
-        self._listener.settimeout(0.5)
+        try:
+            self._listener.settimeout(0.5)
+        except OSError:
+            return  # stop() closed the listener before this thread ran
         while not self._stopping:
             try:
                 sock, addr = self._listener.accept()
@@ -874,18 +876,13 @@ class TimingDaemon:
         accordingly; the op is still supervised and admission-controlled
         like every other query.
         """
-        from repro.liberty.lvf import has_lvf
-        from repro.sta.algebra import VariationModel
-        from repro.sta.ssta import run_ssta, tune_to_yield
+        from repro.sta.algebra import CanonicalAlgebra, VariationModel
+        from repro.sta.ssta import SstaRun, require_lvf, tune_to_yield
 
         name = params.get("scenario")
         scenario = (self._scenario(name) if name
                     else next(iter(self.scenarios.values())))
-        if not has_lvf(scenario.library):
-            raise ProtocolError(
-                f"scenario {scenario.name!r} has no LVF sigma tables; "
-                "ssta is unavailable on it", scenario=scenario.name,
-            )
+        require_lvf(scenario.library, ProtocolError, scenario=scenario.name)
         samples = _number(params, "samples", 1000, 16, 20000, integer=True)
         top = _number(params, "top", 5, 0, 10000, integer=True)
         model = VariationModel(
@@ -901,18 +898,12 @@ class TimingDaemon:
             self.fault_injector.fire(f"ssta:{scenario.name}", attempt)
 
         design = session.overlay.materialize()
-        corner = conventional_corners(self.stack)[
-            scenario.beol_corner_name
-        ]
         with obs_tracing.span("daemon_ssta", scenario=scenario.name,
                               samples=samples):
-            run = run_ssta(
-                design, scenario.library, scenario.constraints,
-                model=model,
-                n_samples=samples,
-                stack=self.stack, beol_corner=corner,
-                temp_c=scenario.temp_c, derates=scenario.derates,
-            )
+            sta = scenario.sta(design, self.stack,
+                               algebra=CanonicalAlgebra(design, model))
+            sta.run()
+            run = SstaRun(sta, model, n_samples=samples)
             ranked = sorted(run.endpoints,
                             key=lambda e: -e.criticality)
             result: Dict[str, Any] = {

@@ -33,8 +33,9 @@ import time
 from typing import Dict, List, Optional, Sequence
 
 from repro.errors import (
+    AdmissionShedError,
+    ProtocolError,
     ReproError,
-    ServeError,
     SessionNotFoundError,
     SessionQuarantinedError,
 )
@@ -148,26 +149,33 @@ class SessionManager:
                 return sid
 
     def open(self, session_id: Optional[str] = None) -> Session:
+        """Open a session. A live or journaled ``session_id`` is the
+        client's mistake (:class:`ProtocolError`); a full session table
+        sheds the request (:class:`AdmissionShedError`, retryable)."""
         with self._lock:
-            active = sum(1 for s in self._sessions.values()
-                         if s.state is SessionState.ACTIVE)
-            if active >= self.session_limit:
-                raise ServeError(
-                    "session limit reached", limit=self.session_limit
+            if session_id in self._sessions and self._sessions[
+                    session_id].state is not SessionState.CLOSED:
+                raise ProtocolError(
+                    f"session {session_id!r} already exists",
+                    session=session_id,
                 )
-            sid = session_id or self._next_id()
-            if sid in self._sessions \
-                    and self._sessions[sid].state is not SessionState.CLOSED:
-                raise ServeError(f"session {sid!r} already exists")
-            if session_id is not None and self.journal is not None \
-                    and self.journal.lookup("serve_session", sid) is not None:
+            if session_id is not None and self.journal is not None and \
+                    self.journal.lookup("serve_session", session_id) \
+                    is not None:
                 # A journaled id (even a closed one) is never recycled:
                 # its ECO ledger would splice into the new session on
                 # the next restart.
-                raise ServeError(
-                    f"session id {sid!r} was already used this journal",
-                    session=sid,
+                raise ProtocolError(
+                    f"session id {session_id!r} was already used this "
+                    "journal", session=session_id,
                 )
+            active = sum(1 for s in self._sessions.values()
+                         if s.state is SessionState.ACTIVE)
+            if active >= self.session_limit:
+                raise AdmissionShedError(
+                    "session limit reached", limit=self.session_limit
+                )
+            sid = session_id or self._next_id()
             session = Session(sid, self.base, self.engine,
                               fault_injector=self.fault_injector)
             self._sessions[sid] = session

@@ -53,7 +53,6 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.beol.corners import conventional_corners
 from repro.beol.stack import BeolStack, default_stack
 from repro.errors import TimingError
 from repro.liberty.arcs import ArcTiming, TimingArc, TimingSense, TimingType
@@ -292,9 +291,8 @@ def build_stub_view(
     ``delta = 0``, measures the clock nets, and pass 2 re-bakes the
     tables with the measured values.
     """
-    corner = conventional_corners(stack)[scenario.beol_corner_name]
-    temp_c = (scenario.temp_c if scenario.temp_c is not None
-              else scenario.library.temp_c)
+    corner = scenario.corner(stack)
+    temp_c = scenario.temperature
     deltas = {name: 0.0 for name in hier.blocks}
     design: Optional[Design] = None
     library: Optional[Library] = None
@@ -514,11 +512,7 @@ class HierScheduler:
                 spec = s.constraints.clocks[f"clk_{name}"]
                 bc = block_constraints(s.constraints, spec,
                                        block.clock_port)
-                bscen = Scenario(
-                    name="etm", library=s.library, constraints=bc,
-                    beol_corner_name=s.beol_corner_name,
-                    temp_c=s.temp_c, derates=s.derates,
-                )
+                bscen = replace(s, name="etm", constraints=bc)
                 key = (block.design.name, design_fps[name],
                        scenario_fingerprint(bscen))
                 entry = plan.setdefault(
@@ -609,12 +603,7 @@ class HierScheduler:
                     )
                     if stub_design is None:
                         stub_design = design
-                    stub_scenarios.append(Scenario(
-                        name=s.name, library=library,
-                        constraints=s.constraints,
-                        beol_corner_name=s.beol_corner_name,
-                        temp_c=s.temp_c, derates=s.derates,
-                    ))
+                    stub_scenarios.append(replace(s, library=library))
                     if s.derates != Derates():
                         events.append(
                             f"scenario {s.name}: non-unit derates — "

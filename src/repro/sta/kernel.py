@@ -46,7 +46,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.beol.corners import BeolCorner, conventional_corners
+from repro.beol.corners import BeolCorner
 from repro.beol.stack import BeolStack, default_stack
 from repro.errors import LibraryError, TimingError
 from repro.liberty.arcs import TimingArc, TimingType
@@ -105,21 +105,18 @@ class CornerSpec:
     @classmethod
     def from_scenario(cls, scenario, stack: BeolStack) -> "CornerSpec":
         """The spec equivalent to :meth:`repro.sta.mcmm.Scenario.run`."""
-        corners = conventional_corners(stack)
         try:
-            beol = corners[scenario.beol_corner_name]
+            beol = scenario.corner(stack)
         except KeyError:
             raise KernelCompileError(
                 f"unknown BEOL corner {scenario.beol_corner_name!r} "
                 f"in scenario {scenario.name!r}"
             ) from None
-        temp = scenario.temp_c if scenario.temp_c is not None \
-            else scenario.library.temp_c
         return cls(
             name=scenario.name,
             library=scenario.library,
             beol_corner=beol,
-            temp_c=temp,
+            temp_c=scenario.temperature,
             derates=scenario.derates,
             si_enabled=False,  # Scenario.run analyzes with SI off
         )

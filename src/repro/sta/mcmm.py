@@ -14,11 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.beol.corners import conventional_corners
+from repro.beol.corners import BeolCorner, conventional_corners
 from repro.beol.stack import BeolStack, default_stack
 from repro.errors import TimingError
 from repro.liberty.library import Library
 from repro.netlist.design import Design, PinRef
+from repro.sta.algebra import TimingAlgebra
 from repro.sta.analysis import STA
 from repro.sta.constraints import Constraints
 from repro.sta.propagation import Derates
@@ -36,16 +37,28 @@ class Scenario:
     temp_c: Optional[float] = None
     derates: Derates = field(default_factory=Derates)
 
-    def sta(self, design: Design, stack: BeolStack) -> STA:
-        """This view's STA over ``design`` and ``stack``, not yet run."""
+    def corner(self, stack: BeolStack) -> BeolCorner:
+        """This view's BEOL corner of ``stack`` (KeyError if unknown)."""
+        return conventional_corners(stack)[self.beol_corner_name]
+
+    @property
+    def temperature(self) -> float:
+        """This view's temperature, C: its own, else its library's."""
+        return self.library.temp_c if self.temp_c is None else self.temp_c
+
+    def sta(self, design: Design, stack: BeolStack,
+            algebra: Optional[TimingAlgebra] = None) -> STA:
+        """This view's STA over ``design`` and ``stack``, not yet run;
+        ``algebra`` as :class:`STA` takes it (scalar by default)."""
         return STA(
             design,
             self.library,
             self.constraints,
             stack=stack,
-            beol_corner=conventional_corners(stack)[self.beol_corner_name],
-            temp_c=self.temp_c,
+            beol_corner=self.corner(stack),
+            temp_c=self.temperature,
             derates=self.derates,
+            algebra=algebra,
         )
 
     def run(self, design: Design, stack: BeolStack) -> TimingReport:

@@ -53,6 +53,7 @@ from repro.runtime.supervisor import (
     TaskStatus,
 )
 from repro.sta.constraints import Constraints
+from repro.sta.incremental import IncrementalTimer
 from repro.sta.kernel import (
     ENGINES,
     CornerSpec,
@@ -484,8 +485,6 @@ class ScenarioTimerPool:
     """
 
     def __init__(self, engine: str = "reference", fault_injector=None):
-        from repro.sta.incremental import IncrementalTimer  # noqa: F401
-
         if engine not in ENGINES:
             raise TimingError(
                 f"unknown engine {engine!r}; pick from {ENGINES}"
@@ -495,7 +494,7 @@ class ScenarioTimerPool:
         #: kernel-scoped faults fire at a first build's vector compile,
         #: so chaos plans exercise the reference fallback on warm pools.
         self.fault_injector = fault_injector
-        self._timers: Dict[str, "IncrementalTimer"] = {}
+        self._timers: Dict[str, IncrementalTimer] = {}
         #: Edit records committed since each warm timer last retimed.
         self._pending: Dict[str, List[Edit]] = {}
         #: Retime calls served by a warm timer's cone-limited update.
@@ -511,15 +510,6 @@ class ScenarioTimerPool:
 
     def names(self) -> List[str]:
         return sorted(self._timers)
-
-    def adopt(self, name: str, sta) -> "IncrementalTimer":
-        """Register an already-run STA as scenario ``name``'s timer."""
-        from repro.sta.incremental import IncrementalTimer
-
-        timer = IncrementalTimer(sta, engine=self.engine)
-        self._timers[name] = timer
-        self._pending[name] = []
-        return timer
 
     def discard(self, name: str) -> None:
         self._timers.pop(name, None)
@@ -555,7 +545,8 @@ class ScenarioTimerPool:
                 if sta.prop is None or sta.report is None:
                     run_on_engine(sta, self.engine, name,
                                   self.fault_injector)
-            self.adopt(name, sta)
+            self._timers[name] = IncrementalTimer(sta, engine=self.engine)
+            self._pending[name] = []
             self.builds += 1
             return sta.report, "full"
         edits, self._pending[name] = self._pending.get(name, []), []

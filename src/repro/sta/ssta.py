@@ -240,6 +240,17 @@ class SstaRun:
         return "\n".join(lines)
 
 
+def require_lvf(library, error=TimingError, **context) -> None:
+    """Refuse ``library`` for SSTA unless it carries LVF sigma tables:
+    raises ``error`` (with ``context``) before any timing work."""
+    if not has_lvf(library):
+        raise error(
+            "SSTA needs LVF sigma tables on every delay arc "
+            f"(library {library.name!r} has none or was stripped)",
+            **context,
+        )
+
+
 def run_ssta(
     design,
     library,
@@ -253,13 +264,10 @@ def run_ssta(
 
     ``wires`` is an optional statistical wire source
     (:class:`repro.parasitics.statistical.StatisticalAnnotator`); without
-    it wire delays are nominal.
+    it wire delays are nominal. A caller holding a scenario builds
+    through :meth:`~repro.sta.mcmm.Scenario.sta` and :class:`SstaRun`.
     """
-    if not has_lvf(library):
-        raise TimingError(
-            "SSTA needs LVF sigma tables on every delay arc "
-            "(library has none or was stripped)"
-        )
+    require_lvf(library)
     model = model or VariationModel()
     sta = STA(design, library, constraints,
               algebra=CanonicalAlgebra(design, model, wires=wires),
@@ -281,6 +289,25 @@ class McResult:
     setup_moments: Dict[str, Tuple[float, float]]
     timing_yield: float
 
+    @classmethod
+    def from_sta(cls, sta: STA) -> "McResult":
+        """Moments and yield of an STA run under a
+        :class:`~repro.sta.algebra.MonteCarloAlgebra`."""
+        alg = sta.algebra
+        moments: Dict[str, Tuple[float, float]] = {}
+        ok = np.ones(alg.n_samples, dtype=bool)
+        for e in sta.report.setup:
+            vec = alg.samples_of(e.slack)
+            moments[str(e.endpoint)] = (float(vec.mean()), float(vec.std()))
+            ok &= vec >= 0.0
+        for e in sta.report.hold:
+            ok &= alg.samples_of(e.slack) >= 0.0
+        return cls(
+            n_samples=alg.n_samples,
+            setup_moments=moments,
+            timing_yield=float(ok.mean()),
+        )
+
 
 def monte_carlo_ssta(
     design,
@@ -298,21 +325,8 @@ def monte_carlo_ssta(
     model = model or VariationModel()
     alg = MonteCarloAlgebra(design, model, n_samples=n_samples, wires=wires)
     sta = STA(design, library, constraints, algebra=alg, **sta_kwargs)
-    report = sta.run()
-
-    moments: Dict[str, Tuple[float, float]] = {}
-    ok = np.ones(n_samples, dtype=bool)
-    for e in report.setup:
-        vec = alg.samples_of(e.slack)
-        moments[str(e.endpoint)] = (float(vec.mean()), float(vec.std()))
-        ok &= vec >= 0.0
-    for e in report.hold:
-        ok &= alg.samples_of(e.slack) >= 0.0
-    return McResult(
-        n_samples=n_samples,
-        setup_moments=moments,
-        timing_yield=float(ok.mean()),
-    )
+    sta.run()
+    return McResult.from_sta(sta)
 
 
 # ---------------------------------------------------------------------- #

@@ -103,6 +103,32 @@ class TestTypicalAvsSignoff:
         assert any("closes at" in n or "cannot close" in n
                    for n in verdict.notes)
 
+    def test_avs_runs_at_the_worst_scenarios_temperature(
+            self, libs, design, monkeypatch):
+        """A 0 C worst scenario on a 125 C library regulates at 0 C:
+        0.0 is the scenario's temperature, not a missing one."""
+        import repro.core.signoff as signoff
+
+        seen = []
+
+        class Spy(signoff.AvsController):
+            def voltage_for(self, delta_vt=0.0):
+                seen.append(self.temp_c)
+                return self.v_max
+
+        monkeypatch.setattr(signoff, "AvsController", Spy)
+        c = Constraints.single_clock(600.0)
+        c.input_delays = {f"in{i}": 60.0 for i in range(16)}
+        sset = ScenarioSet([
+            Scenario("tt_typ", libs["tt"], c),
+            Scenario("ss_cold", libs["ss"], c, beol_corner_name="cw",
+                     temp_c=0.0),
+        ])
+        verdict = evaluate_signoff(
+            design, SignoffPolicy(scenarios=sset, setup_style="typical_avs"))
+        assert verdict.worst_scenario == "ss_cold"
+        assert seen == [0.0]
+
     def test_impossible_avs_fails(self, libs, design):
         verdict = evaluate_signoff(
             design,

@@ -300,6 +300,23 @@ class TestSessions:
         assert result["scenarios"]["tt"]["wns_setup"] == \
             reference_row(edited, scenario)[0]
 
+    def test_open_session_refusals_carry_client_codes(self, daemon_factory):
+        """A live id is the client's mistake; a full session table is
+        load, retryable once a session closes. Neither is E_INTERNAL."""
+        daemon = daemon_factory(config=DaemonConfig(
+            workers=1, queue_limit=8, session_limit=1))
+        with client_for(daemon) as client:
+            assert client.request("open_session", {"session_id": "a"}) \
+                == {"session": "a"}
+            with pytest.raises(ServeError) as live:
+                client.request("open_session", {"session_id": "a"})
+            with pytest.raises(ServeError) as full:
+                client.request("open_session", {"session_id": "b"})
+        assert (live.value.code, live.value.retryable) == \
+            ("E_BAD_REQUEST", False)
+        assert (full.value.code, full.value.retryable) == \
+            ("E_OVERLOADED", True)
+
     def test_apply_eco_requires_session(self, daemon_factory):
         daemon = daemon_factory()
         with client_for(daemon) as client:
@@ -631,6 +648,13 @@ class TestLifecycleAndStats:
         assert stats["sessions"]["active"] == 1
         assert stats["cache"]["entries"] >= 2
         assert stats["timers"]["builds"] >= 2
+
+    def test_accept_loop_returns_on_a_closed_listener(self, daemon_factory):
+        # stop() may close the listener before the accept thread first
+        # runs; the loop must end quietly, not die with EBADF.
+        daemon = daemon_factory()
+        daemon.stop()
+        daemon._accept_loop()
 
     def test_shutdown_op(self, daemon_factory):
         daemon = daemon_factory()

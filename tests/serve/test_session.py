@@ -3,6 +3,8 @@
 import pytest
 
 from repro.errors import (
+    AdmissionShedError,
+    ProtocolError,
     ServeError,
     SessionNotFoundError,
     SessionQuarantinedError,
@@ -41,6 +43,18 @@ class TestLifecycle:
             manager.open()
         manager.close(keep.id)
         manager.open()  # closing freed a slot
+
+    def test_open_refusals_are_typed(self, base, tmp_path):
+        manager = SessionManager(base, session_limit=1,
+                                 journal=RunJournal(tmp_path / "j"))
+        manager.close(manager.open("a").id)
+        with pytest.raises(ProtocolError, match="already used"):
+            manager.open("a")
+        manager.open("b")
+        with pytest.raises(ProtocolError, match="already exists"):
+            manager.open("b")
+        with pytest.raises(AdmissionShedError, match="session limit"):
+            manager.open("c")
 
     def test_get_unknown_raises(self, base):
         with pytest.raises(SessionNotFoundError):

@@ -6,12 +6,18 @@ import pytest
 
 from repro.beol.stack import default_stack
 from repro.errors import TimingError
-from repro.liberty import make_library
+from repro.liberty import LibraryCondition, make_library
 from repro.netlist.generators import random_logic
 from repro.parasitics.statistical import StatisticalAnnotator
 from repro.sta import STA, Constraints
-from repro.sta.algebra import VariationModel
+from repro.sta.algebra import (
+    CanonicalAlgebra,
+    MonteCarloAlgebra,
+    VariationModel,
+)
+from repro.sta.mcmm import Scenario
 from repro.sta.ssta import (
+    McResult,
     SstaRun,
     monte_carlo_ssta,
     pst_benchmark_setup,
@@ -40,28 +46,49 @@ class TestMcValidation:
     """Acceptance gate: canonical endpoint moments within 5% of a
     >=2000-sample Monte-Carlo on randomized LVF designs."""
 
-    @pytest.mark.parametrize("seed,wired", [
-        pytest.param(3, False, id="3"),
-        pytest.param(11, False, id="11"),
-        pytest.param(3, True, id="3-wires"),
+    @pytest.mark.parametrize("seed,view", [
+        pytest.param(3, "typ", id="3"),
+        pytest.param(11, "typ", id="11"),
+        pytest.param(3, "wires", id="3-wires"),
+        pytest.param(3, "ss-cw-125c", id="3-ss-cw-125c"),
     ])
-    def test_moments_within_five_percent(self, seed, wired):
-        design, lib, cons = make_setup(seed)
-        wires = None
-        if wired:
-            # Stretch the placement so wires carry real delay and their
-            # BEOL sigma is a visible share of each endpoint's sigma.
-            for inst in design.instances.values():
-                if inst.location is not None:
-                    inst.location = (inst.location[0] * 25.0,
-                                     inst.location[1])
-            wires = StatisticalAnnotator(STA(design, lib, cons).parasitics,
-                                         default_stack())
+    def test_moments_within_five_percent(self, seed, view):
         model = VariationModel()
-        run = run_ssta(design, lib, cons, model=model, n_samples=512,
-                       wires=wires)
-        mc = monte_carlo_ssta(design, lib, cons, model=model,
-                              n_samples=2000, wires=wires)
+        if view == "ss-cw-125c":
+            # A scenario off the default view (BEOL corner and
+            # temperature), both algebras built through Scenario.sta.
+            # At 1000 ps the slack means sit well away from zero.
+            design, _, cons = make_setup(seed, period=1000.0)
+            scenario = Scenario(
+                "ss_cw", make_library(LibraryCondition(
+                    process="ss", vdd=0.72, temp_c=125.0)),
+                cons, beol_corner_name="cw", temp_c=125.0)
+            stack = default_stack()
+            sta = scenario.sta(design, stack,
+                               algebra=CanonicalAlgebra(design, model))
+            sta.run()
+            run = SstaRun(sta, model, n_samples=512)
+            mc_sta = scenario.sta(design, stack, algebra=MonteCarloAlgebra(
+                design, model, n_samples=2000))
+            mc_sta.run()
+            mc = McResult.from_sta(mc_sta)
+        else:
+            design, lib, cons = make_setup(seed)
+            wires = None
+            if view == "wires":
+                # Stretch the placement so wires carry real delay and
+                # their BEOL sigma is a visible share of each
+                # endpoint's sigma.
+                for inst in design.instances.values():
+                    if inst.location is not None:
+                        inst.location = (inst.location[0] * 25.0,
+                                         inst.location[1])
+                wires = StatisticalAnnotator(
+                    STA(design, lib, cons).parasitics, default_stack())
+            run = run_ssta(design, lib, cons, model=model, n_samples=512,
+                           wires=wires)
+            mc = monte_carlo_ssta(design, lib, cons, model=model,
+                                  n_samples=2000, wires=wires)
         assert len(mc.setup_moments) == len(run.endpoints)
         for ep in run.endpoints:
             mc_mean, mc_sigma = mc.setup_moments[str(ep.endpoint)]

@@ -317,6 +317,59 @@ class TestObservability:
         assert list(tmp_path.iterdir()) == []
 
 
+#: Each signoff route with the flags it does not read, one row each.
+_LIBRARY = [["--process", "ss"], ["--vdd", "0.7"], ["--temp", "0"],
+            ["--aging-mv", "5"]]
+_SSTA = [["--ssta-samples", "64"], ["--ssta-rho", "0.3"],
+         ["--ssta-corners", "3"], ["--ssta-mc", "100"], ["--ssta-bench"],
+         ["--yield-target", "0.9"], ["--tune-range", "10"]]
+_BATCH = [["--checkpoint", "run.journal"], ["--resume"], ["--keep-going"],
+          ["--inject-faults", "7"], ["--no-validate"]]
+_REFUSED = {
+    ("--hier", "--blocks", "2"): [
+        ["--design", "tiny"], ["--input-delay", "30"], *_LIBRARY, *_BATCH,
+        ["--ssta"], *_SSTA,
+    ],
+    ("--ssta",): [
+        ["--jobs", "2"], ["--executor", "process"], ["--engine", "vector"],
+        ["--retries", "0"], ["--timeout", "5"], *_BATCH, ["--blocks", "2"],
+    ],
+    (): [*_LIBRARY, ["--blocks", "2"], *_SSTA],
+    ("--ssta", "--ssta-bench"): [
+        ["--design", "tiny"], ["--gates", "40"], ["--period", "600"],
+        ["--input-delay", "30"], *_LIBRARY,
+    ],
+    ("--ssta", "--ssta-corners", "3"): _LIBRARY,
+}
+
+
+class TestSignoffRoutes:
+    @pytest.mark.parametrize("route,flag", [
+        (route, flag) for route, flags in _REFUSED.items() for flag in flags
+    ], ids=lambda v: "_".join(x.lstrip("-") for x in v) or "flat")
+    def test_unread_flag_is_refused_before_any_work(self, route, flag,
+                                                    capsys, tmp_path,
+                                                    monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        rc = main(["signoff", *route, *flag])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        (line,) = captured.err.strip().splitlines()
+        assert line.startswith("error: signoff")
+        assert f"does not read {flag[0]}" in line
+        assert list(tmp_path.iterdir()) == []  # no journal, no trace
+
+    def test_every_unread_flag_is_named(self, capsys):
+        rc = main(["signoff", "--hier", "--period", "900", "--ssta",
+                   "--yield-target", "0.999", "--checkpoint", "j"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: signoff --hier does not read --checkpoint, --ssta, "
+            "--yield-target\n"
+        )
+
+
 class TestHierSignoff:
     def test_hier_signoff_exits_clean(self, capsys):
         rc = main([
@@ -360,6 +413,25 @@ class TestSstaSignoff:
         out = capsys.readouterr().out
         assert rc == 1
         assert "target missed" in out
+
+    def test_corners_time_at_their_own_views(self, capsys):
+        """Each standard scenario's block follows its own BEOL corner
+        and temperature: the two 125 C slow views differ in corner
+        only, so their blocks must differ."""
+        main([
+            "signoff", "--ssta", "--ssta-corners", "3", "--design", "rand",
+            "--gates", "60", "--period", "500", "--ssta-samples", "200",
+        ])
+        blocks = {}
+        for block in capsys.readouterr().out.strip().split("\n\n"):
+            head, _, body = block.partition("\n")
+            blocks[head] = body
+        assert list(blocks) == [
+            "scenario ss_720mv_-30c_cw:", "scenario ss_720mv_125c_rcw:",
+            "scenario ss_720mv_125c_cw:",
+        ]
+        assert blocks["scenario ss_720mv_125c_rcw:"] != \
+            blocks["scenario ss_720mv_125c_cw:"]
 
     @pytest.mark.parametrize("rho", ["1.5", "-0.2"])
     def test_rho_outside_unit_interval_exits_four(self, rho, capsys):
